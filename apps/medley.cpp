@@ -35,11 +35,15 @@
 #include "exp/Reporter.h"
 #include "policy/Features.h"
 #include "runtime/CoExecution.h"
+#include "support/Error.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
 #include "trace/Columnar.h"
 #include "workload/Catalog.h"
 
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -49,7 +53,17 @@ using namespace medley;
 
 namespace {
 
-/// Trivial --key value / --flag argument map.
+/// Reports a bad command-line value under the invalid-argument error code;
+/// returns the CLI's failure exit status.
+int invalidArgument(const std::string &Message) {
+  std::cerr << support::Error(support::ErrorCode::InvalidArgument, Message)
+                   .str()
+            << '\n';
+  return 1;
+}
+
+/// Trivial --key value / --flag argument map. A malformed number exits
+/// with an invalid-argument message instead of throwing.
 class Args {
 public:
   Args(int Argc, char **Argv) {
@@ -79,13 +93,29 @@ public:
 
   unsigned getUnsigned(const std::string &Key, unsigned Default) const {
     auto It = Values.find(Key);
-    return It == Values.end() ? Default
-                              : static_cast<unsigned>(std::stoul(It->second));
+    if (It == Values.end())
+      return Default;
+    const std::string &Text = It->second;
+    const char *End = Text.data() + Text.size();
+    unsigned Value = 0;
+    auto [Stop, Status] = std::from_chars(Text.data(), End, Value);
+    if (Status != std::errc() || Stop != End)
+      std::exit(invalidArgument("--" + Key + " expects an unsigned integer, "
+                                "got '" + Text + "'"));
+    return Value;
   }
 
   double getDouble(const std::string &Key, double Default) const {
     auto It = Values.find(Key);
-    return It == Values.end() ? Default : std::stod(It->second);
+    if (It == Values.end())
+      return Default;
+    const std::string &Text = It->second;
+    char *Stop = nullptr;
+    double Value = std::strtod(Text.c_str(), &Stop);
+    if (Text.empty() || Stop != Text.c_str() + Text.size())
+      std::exit(invalidArgument("--" + Key + " expects a number, got '" +
+                                Text + "'"));
+    return Value;
   }
 
 private:
@@ -459,10 +489,13 @@ int cmdFleet(const Args &A) {
   Config.Memoize = A.has("memoize");
   Config.TenantMaxThreads = A.getUnsigned("tenant-threads", 8);
   Config.Jobs = A.getUnsigned("jobs", 0);
-  if (Config.Shards == 0 || Config.Tenants == 0) {
-    std::cerr << "fleet needs at least one shard and one tenant\n";
-    return 1;
-  }
+  if (Config.Shards == 0 || Config.Tenants == 0)
+    return invalidArgument("fleet needs at least one shard and one tenant");
+  if (Config.Rounds == 0 || Config.TicksPerRound == 0)
+    return invalidArgument("--rounds and --ticks must be at least 1");
+  if (!std::isfinite(Config.ChurnRate) || Config.ChurnRate < 0.0 ||
+      Config.ChurnRate > 1.0)
+    return invalidArgument("--churn must be a fraction in [0, 1]");
 
   std::cout << "fleet: " << Config.Tenants << " tenants across "
             << Config.Shards << " shards, " << Config.Rounds << " rounds x "

@@ -67,6 +67,10 @@ FleetScenario::FleetScenario(FleetScenarioConfig InConfig)
     reportFatalError("fleet scenario with zero shards");
   if (Config.TicksPerRound == 0)
     reportFatalError("fleet scenario with zero ticks per round");
+  // Written so NaN fails too: the churn hook casts Rate * tenants to an
+  // unsigned count, which a negative or non-finite rate would make UB.
+  if (!(Config.ChurnRate >= 0.0 && Config.ChurnRate <= 1.0))
+    reportFatalError("fleet scenario churn rate outside [0, 1]");
 
   const unsigned PerShard =
       std::max(1u, Config.Tenants / std::max(1u, Config.Shards));
@@ -187,7 +191,7 @@ FleetScenario::FleetScenario(FleetScenarioConfig InConfig)
     for (uint64_t I = 0; I < Leavers && Sim.numTasks() > 0; ++I) {
       auto Victim = static_cast<size_t>(
           R.uniformInt(0, static_cast<int64_t>(Sim.numTasks()) - 1));
-      Sim.removeTask(Sim.tasks()[Victim].get());
+      Sim.removeTaskAt(Victim);
       if (R.bernoulli(0.5))
         Sink.send(static_cast<unsigned>(R.uniformInt(0, NumShards - 1)),
                   R.next());

@@ -36,8 +36,8 @@ struct FleetScenarioConfig {
   uint64_t Rounds = 8;        ///< Churn rounds to run.
   unsigned TicksPerRound = 25;///< Simulation ticks per shard per round.
 
-  /// Per-round fraction of a shard's tenants that churn (half migrate to a
-  /// random shard, half depart for good).
+  /// Per-round fraction of a shard's tenants that churn, in [0, 1] (half
+  /// migrate to a random shard, half depart for good).
   double ChurnRate = 0.01;
 
   /// Every this-many rounds each shard posts a burst of fresh arrivals

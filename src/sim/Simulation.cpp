@@ -35,7 +35,7 @@ void Simulation::addTask(std::shared_ptr<Task> T) {
   Table.adopt(std::move(T));
 }
 
-void Simulation::removeTask(const Task *T) { Table.remove(T); }
+void Simulation::removeTaskAt(size_t Index) { Table.removeAt(Index); }
 
 unsigned Simulation::availableCores() {
   unsigned Cores = Availability->coresAt(Time);

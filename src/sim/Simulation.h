@@ -53,8 +53,9 @@ public:
   /// Adds \p T to the machine; tasks may be added mid-simulation.
   void addTask(std::shared_ptr<Task> T);
 
-  /// Removes a task (e.g. a finished workload program being replaced).
-  void removeTask(const Task *T);
+  /// Removes the \p Index-th task in insertion order — the one tasks()[Index]
+  /// would name — in O(log n), without compacting (e.g. a tenant leaving).
+  void removeTaskAt(size_t Index);
 
   /// Advances the simulation by one tick.
   void step();
@@ -87,7 +88,8 @@ public:
   /// Total runnable threads across unfinished tasks.
   unsigned runnableThreads() const;
 
-  size_t numTasks() const { return Table.owners().size(); }
+  /// Live task count; never compacts, so it stays O(1) between removals.
+  size_t numTasks() const { return Table.size(); }
   const std::vector<std::shared_ptr<Task>> &tasks() const {
     return Table.owners();
   }

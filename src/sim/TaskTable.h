@@ -15,8 +15,10 @@
 ///
 /// Iteration order is insertion order throughout: the per-tick FP
 /// reductions accumulate in task order, so removal tombstones a slot and
-/// compaction erases stably. A tombstoned (null) slot is never visible
-/// outside the table's own iteration helpers.
+/// compaction erases stably. Removal is by rank among the live slots,
+/// located in O(log n) through a Fenwick tree over the live flags. A
+/// tombstoned (null) slot is never visible outside the table's own
+/// iteration helpers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,25 +36,19 @@ namespace medley::sim {
 /// Struct-of-arrays mirror of every task's observable scheduling state.
 class TaskTable {
 public:
-  /// Tombstone count at which the next compact() call actually compacts.
-  /// Hoisted here (rather than re-derived at each call site) so every
-  /// observation point — step, accessors, size queries — agrees on when
-  /// the erase pass runs. 1 keeps the historical behaviour: nulls never
-  /// survive past the next observation.
-  static constexpr size_t CompactionThreshold = 1;
-
   /// Appends \p T, capturing its observable state into the columns.
   /// (Named adopt, not add, so medley-lint's name-based call resolution
   /// doesn't conflate it with the dataset/statistics add() methods on the
   /// decision path.)
   void adopt(std::shared_ptr<Task> T);
 
-  /// Tombstones every slot holding \p T (releases the task now, compacts
-  /// later). Bumps the generation.
-  void remove(const Task *T);
+  /// Tombstones the \p Rank-th live task in insertion order — the one
+  /// owners()[Rank] would name — in O(log n); releases the task now,
+  /// compacts later. Bumps the generation.
+  void removeAt(size_t Rank);
 
-  /// Erases tombstoned slots, preserving insertion order, once the count
-  /// reaches CompactionThreshold; cheap no-op otherwise.
+  /// Erases tombstoned slots, preserving insertion order; cheap no-op
+  /// when there are none.
   void compact() const;
 
   /// Live (non-tombstoned) task count.
@@ -93,6 +89,14 @@ private:
   mutable std::vector<uint8_t> Finished;
   mutable size_t Tombstones = 0;
   uint64_t Generation = 0;
+
+  /// 1-based Fenwick tree over the live flags of the slots, built lazily
+  /// by the first removeAt() after adopt() or a real compact() cleared it
+  /// (empty = not built). Capacity sticks, so steady churn reuses it.
+  mutable std::vector<uint32_t> LiveIndex;
+
+  /// Fills LiveIndex from the current slots in O(n).
+  void buildLiveIndex();
 };
 
 } // namespace medley::sim

@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <vector>
 
 using namespace medley;
 
@@ -107,8 +109,27 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyContractTest,
 /// Property: the oracle's predicted rate for a frozen environment matches
 /// what the simulator actually delivers for a single program running at a
 /// fixed thread count with a constant co-runner.
-class OracleConsistencyTest
-    : public ::testing::TestWithParam<std::tuple<const char *, unsigned>> {};
+struct OracleCase {
+  const char *Name;
+  unsigned Threads;
+};
+
+/// Prints a case as e.g. `lu_4`. The default tuple printer shows a
+/// `const char *` with its address, which ASLR changes from run to run, so
+/// the test names ctest discovers would never repeat.
+static void PrintTo(const OracleCase &Case, std::ostream *OS) {
+  *OS << Case.Name << '_' << Case.Threads;
+}
+
+static std::vector<OracleCase> oracleCases() {
+  std::vector<OracleCase> Cases;
+  for (const char *Name : {"lu", "cg", "ep", "ft"})
+    for (unsigned Threads : {4u, 12u, 24u})
+      Cases.push_back({Name, Threads});
+  return Cases;
+}
+
+class OracleConsistencyTest : public ::testing::TestWithParam<OracleCase> {};
 
 TEST_P(OracleConsistencyTest, PredictedRateMatchesSimulatedRate) {
   auto [Name, Threads] = GetParam();
@@ -159,10 +180,8 @@ TEST_P(OracleConsistencyTest, PredictedRateMatchesSimulatedRate) {
       << Name << " at " << Threads << " threads";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ProgramsAndThreads, OracleConsistencyTest,
-    ::testing::Combine(::testing::Values("lu", "cg", "ep", "ft"),
-                       ::testing::Values(4u, 12u, 24u)));
+INSTANTIATE_TEST_SUITE_P(ProgramsAndThreads, OracleConsistencyTest,
+                         ::testing::ValuesIn(oracleCases()));
 
 //===----------------------------------------------------------------------===//
 // Fatal-error paths.

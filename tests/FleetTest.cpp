@@ -47,6 +47,18 @@ FleetScenarioConfig smallFleet() {
   return Config;
 }
 
+/// The fleet-churn benchmark shape at smallFleet() scale: cheap default
+/// decisions, a fifth of every shard's tenants leaving each round (half
+/// migrating) and a burst of fresh arrivals every round.
+FleetScenarioConfig churnFleet() {
+  FleetScenarioConfig Config = smallFleet();
+  Config.Policy = "default";
+  Config.ChurnRate = 0.2;
+  Config.BurstEvery = 1;
+  Config.BurstFraction = 0.1;
+  return Config;
+}
+
 /// The deterministic half of two results must match bit for bit; the
 /// wall-clock half (latency, rates) is intentionally not compared.
 void expectDeterministicHalvesEqual(const FleetResult &A,
@@ -296,4 +308,35 @@ TEST(FleetChaosTest, ChurnConservesTenantsUpToMigrationInFlight) {
   EXPECT_GT(Alive, 0u);
   EXPECT_EQ(R.Stats.Totals.Ticks,
             uint64_t(Config.Shards) * Config.Rounds * Config.TicksPerRound);
+}
+
+TEST(FleetChaosTest, HighChurnIsBitIdenticalAndPinned) {
+  // Tenant removal dominates this shape, so it pins the victim sequence:
+  // every worker count and shard→slot plan must reproduce the same
+  // deterministic half, and that half must equal the figures recorded
+  // from the pointer-scan removal path that positional removal replaced
+  // (same churn draws, same victims, same insertion order).
+  std::vector<FleetResult> Results;
+  for (unsigned Jobs : {1u, 4u, 16u}) {
+    FleetScenarioConfig Config = churnFleet();
+    Config.Jobs = Jobs;
+    Results.push_back(runFleetScenario(Config));
+  }
+  for (unsigned Slots : {1u, 2u, 3u, 4u}) {
+    FleetScenarioConfig Config = churnFleet();
+    Config.Jobs = 4;
+    Config.PlanSlots = Slots;
+    Results.push_back(runFleetScenario(Config));
+  }
+  for (size_t I = 1; I < Results.size(); ++I)
+    expectDeterministicHalvesEqual(Results[0], Results[I],
+                                   "run 0 vs " + std::to_string(I));
+
+  const FleetResult &R = Results[0];
+  EXPECT_EQ(R.Stats.Checksum, 13078665190986729833ULL);
+  EXPECT_EQ(R.DecisionChecksum, 10384348596281101495ULL);
+  EXPECT_EQ(R.DecisionsTotal, 15441u);
+  EXPECT_EQ(R.Stats.Totals.DeparturesSent, 730u);
+  EXPECT_EQ(R.Stats.Totals.ArrivalsDelivered, 491u);
+  EXPECT_EQ(R.Stats.Totals.TasksAlive, 967u);
 }

@@ -10,6 +10,7 @@
 #include "sim/Machine.h"
 #include "sim/Simulation.h"
 #include "sim/SystemMonitor.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -350,15 +351,19 @@ TEST(SimulationTest, RemoveTask) {
   auto T = std::make_shared<StubTask>("t", 4);
   Sim.addTask(T);
   EXPECT_EQ(Sim.numTasks(), 1u);
-  Sim.removeTask(T.get());
+  Sim.removeTaskAt(0);
   EXPECT_EQ(Sim.numTasks(), 0u);
+  EXPECT_TRUE(Sim.tasks().empty());
+  // The table released its reference at removal time.
+  EXPECT_EQ(T.use_count(), 1);
 }
 
 TEST(SimulationTest, TaskChurnPreservesOrderAndHidesTombstones) {
   // Workload-swap-heavy regression: bursts of removals interleaved with
-  // additions and steps. The tombstoning removeTask must never expose a
-  // null entry through tasks()/numTasks(), and the survivors must stay in
-  // insertion order (the per-tick FP reductions depend on it).
+  // additions and steps. Positional removal tombstones without compacting,
+  // yet must never expose a null entry through tasks()/numTasks(), and the
+  // survivors must stay in insertion order (the per-tick FP reductions
+  // depend on it).
   Simulation Sim(MachineConfig::evaluationPlatform(),
                  std::make_unique<StaticAvailability>(32));
   std::vector<std::shared_ptr<StubTask>> Live;
@@ -371,11 +376,13 @@ TEST(SimulationTest, TaskChurnPreservesOrderAndHidesTombstones) {
   for (int I = 0; I < 8; ++I)
     Spawn();
   for (int Round = 0; Round < 16; ++Round) {
-    // Remove every other task in one burst, then backfill.
+    // Remove every other task in one burst (back to front, so the ranks
+    // still to visit are unaffected), then backfill.
     for (size_t I = Live.size(); I-- > 0;)
       if (I % 2 == 0) {
-        Sim.removeTask(Live[I].get());
+        Sim.removeTaskAt(I);
         Live.erase(Live.begin() + static_cast<long>(I));
+        ASSERT_EQ(Sim.numTasks(), Live.size());
       }
     for (int I = 0; I < 4; ++I)
       Spawn();
@@ -402,21 +409,73 @@ TEST(SimulationTest, RemoveTaskBurstThenAccessorNeverSeesNull) {
     All.push_back(std::make_shared<StubTask>("t" + std::to_string(I), 1));
     Sim.addTask(All.back());
   }
-  // Burst-remove three without stepping in between; the first accessor
-  // afterwards must already observe the compacted list.
-  Sim.removeTask(All[1].get());
-  Sim.removeTask(All[3].get());
-  Sim.removeTask(All[5].get());
+  // Burst-remove three without stepping in between. Each rank counts live
+  // tasks only, so removing All[1] shifts All[3] to rank 2 and All[5] to
+  // rank 3. The first accessor afterwards must already observe the
+  // compacted list.
+  Sim.removeTaskAt(1);
+  Sim.removeTaskAt(2);
+  Sim.removeTaskAt(3);
+  EXPECT_EQ(Sim.numTasks(), 3u);
   EXPECT_EQ(Sim.runnableThreads(), 3u);
   const auto &Tasks = Sim.tasks();
   ASSERT_EQ(Tasks.size(), 3u);
   EXPECT_EQ(Tasks[0].get(), All[0].get());
   EXPECT_EQ(Tasks[1].get(), All[2].get());
   EXPECT_EQ(Tasks[2].get(), All[4].get());
-  // Removing a pointer that is not in the list is a no-op.
-  StubTask Foreign("foreign", 1);
-  Sim.removeTask(&Foreign);
-  EXPECT_EQ(Sim.numTasks(), 3u);
+}
+
+TEST(SimulationTest, PositionalRemovalMatchesVectorErase) {
+  // A seeded random mix of additions, removals (first, last and interior
+  // ranks, often several before any observation, so tombstones pile up),
+  // steps and accessor reads, mirrored on a plain vector with
+  // erase(begin() + rank). The table must agree with the reference on the
+  // live count after every operation and on the identity and order of
+  // tasks() at every observation point.
+  Simulation Sim(MachineConfig::evaluationPlatform(),
+                 std::make_unique<StaticAvailability>(32));
+  std::vector<std::shared_ptr<Task>> Reference;
+  Rng R(0x5EED);
+  unsigned NextId = 0;
+  auto ExpectSameTasks = [&](const char *After, int Op) {
+    const auto &Tasks = Sim.tasks();
+    ASSERT_EQ(Tasks.size(), Reference.size()) << After << " op " << Op;
+    for (size_t I = 0; I < Tasks.size(); ++I)
+      ASSERT_EQ(Tasks[I].get(), Reference[I].get())
+          << After << " op " << Op << " rank " << I;
+  };
+  auto Spawn = [&] {
+    const unsigned Id = NextId++;
+    auto T = std::make_shared<StubTask>("ref" + std::to_string(Id), 1 + Id % 4);
+    Reference.push_back(T);
+    Sim.addTask(T);
+  };
+  for (int I = 0; I < 256; ++I)
+    Spawn();
+  constexpr int Ops = 20000;
+  size_t Removals = 0;
+  for (int Op = 0; Op < Ops; ++Op) {
+    const int64_t Kind = R.uniformInt(0, 99);
+    if (Kind < 45 || Reference.empty()) {
+      Spawn();
+    } else if (Kind < 90) {
+      const auto Last = static_cast<int64_t>(Reference.size()) - 1;
+      const int64_t Pick = R.uniformInt(0, 3);
+      const int64_t Rank =
+          Pick == 0 ? 0 : Pick == 1 ? Last : R.uniformInt(0, Last);
+      Sim.removeTaskAt(static_cast<size_t>(Rank));
+      Reference.erase(Reference.begin() + Rank);
+      ++Removals;
+    } else if (Kind < 95) {
+      Sim.step();
+      ExpectSameTasks("step", Op);
+    } else {
+      ExpectSameTasks("tasks", Op);
+    }
+    ASSERT_EQ(Sim.numTasks(), Reference.size()) << "op " << Op;
+  }
+  ExpectSameTasks("final", Ops);
+  EXPECT_GT(Removals, static_cast<size_t>(Ops) / 3);
 }
 
 TEST(SimulationTest, TickHooksFireEveryStep) {
