@@ -41,6 +41,7 @@
 #include "trace/Columnar.h"
 #include "workload/Catalog.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -63,7 +64,8 @@ int invalidArgument(const std::string &Message) {
 }
 
 /// Trivial --key value / --flag argument map. A malformed number exits
-/// with an invalid-argument message instead of throwing.
+/// with an invalid-argument message instead of throwing; main() rejects
+/// keys the subcommand does not accept.
 class Args {
 public:
   Args(int Argc, char **Argv) {
@@ -84,6 +86,14 @@ public:
 
   bool valid() const { return Ok; }
   bool has(const std::string &Key) const { return Values.count(Key) != 0; }
+
+  /// The first given key not in \p Accepted, or empty when all are.
+  std::string unknownKey(const std::vector<std::string> &Accepted) const {
+    for (const auto &[Key, Value] : Values)
+      if (std::find(Accepted.begin(), Accepted.end(), Key) == Accepted.end())
+        return Key;
+    return "";
+  }
 
   std::string get(const std::string &Key,
                   const std::string &Default = "") const {
@@ -122,6 +132,29 @@ private:
   std::map<std::string, std::string> Values;
   bool Ok = true;
 };
+
+/// The --keys each subcommand reads; any other key is rejected, so a typo
+/// or a removed option cannot pass unnoticed.
+const std::map<std::string, std::vector<std::string>> &acceptedOptions() {
+  static const std::map<std::string, std::vector<std::string>> Options = {
+      {"list", {}},
+      {"speedup", {"target", "policy", "scenario", "repeats", "jobs"}},
+      {"coexec",
+       {"target", "policy", "workload", "cores", "period", "seed",
+        "timeline", "trace-out", "trace-format"}},
+      {"trace-export", {"in", "out"}},
+      {"experts", {"num", "save", "load"}},
+      {"lifecycle",
+       {"target", "workload", "cores", "period", "seed", "shadow-window",
+        "promote-fraction", "canary-fraction", "canary-window",
+        "rollback-strikes", "divergence-factor", "error-floor",
+        "retrain-window", "snapshot-out"}},
+      {"fleet",
+       {"shards", "tenants", "rounds", "ticks", "churn", "seed",
+        "storm-shards", "policy", "tenant-threads", "jobs", "per-shard"}},
+  };
+  return Options;
+}
 
 std::vector<std::string> splitList(const std::string &Csv) {
   std::vector<std::string> Out;
@@ -486,7 +519,6 @@ int cmdFleet(const Args &A) {
   Config.Seed = A.getUnsigned("seed", 0xF1EE7);
   Config.StormShards = A.getUnsigned("storm-shards", 0);
   Config.Policy = A.get("policy", "mixture");
-  Config.Memoize = A.has("memoize");
   Config.TenantMaxThreads = A.getUnsigned("tenant-threads", 8);
   Config.Jobs = A.getUnsigned("jobs", 0);
   if (Config.Shards == 0 || Config.Tenants == 0)
@@ -500,7 +532,7 @@ int cmdFleet(const Args &A) {
   std::cout << "fleet: " << Config.Tenants << " tenants across "
             << Config.Shards << " shards, " << Config.Rounds << " rounds x "
             << Config.TicksPerRound << " ticks under '" << Config.Policy
-            << "'" << (Config.Memoize ? " (memoized)" : "") << "\n";
+            << "'\n";
 
   exp::FleetResult R = exp::runFleetScenario(Config);
 
@@ -569,8 +601,7 @@ void usage() {
          "canary rollout)\n"
          "  medley fleet   [--shards 16] [--tenants 10000] [--rounds 8]\n"
          "                 [--ticks 25] [--churn 0.01] [--storm-shards 0]\n"
-         "                 [--policy mixture] [--memoize] "
-         "[--tenant-threads 8]\n"
+         "                 [--policy mixture] [--tenant-threads 8]\n"
          "                 [--seed 62951] [--jobs N] [--per-shard]\n"
          "                 (sharded fleet scenario: deterministic aggregates"
          " at any --jobs;\n"
@@ -589,6 +620,12 @@ int main(int Argc, char **Argv) {
   if (!A.valid()) {
     usage();
     return 1;
+  }
+  auto Accepted = acceptedOptions().find(Command);
+  if (Accepted != acceptedOptions().end()) {
+    std::string Unknown = A.unknownKey(Accepted->second);
+    if (!Unknown.empty())
+      return invalidArgument("unknown option '--" + Unknown + "'");
   }
   if (Command == "list")
     return cmdList();

@@ -15,8 +15,8 @@
 //   bench_fleet [--smoke] [--shards N] [--tenants N] [--rounds N]
 //               [--ticks N] [--jobs N]
 //
-// --smoke   small fleet, still asserting the determinism and memo
-//           bit-identity invariants end-to-end; no JSON written
+// --smoke   small fleet end-to-end (decisions made, steady-tick
+//           allocations counted); no JSON written
 //
 //===----------------------------------------------------------------------===//
 
@@ -98,19 +98,18 @@ namespace {
 /// Heap allocations of one steady fleet tick: a churn-free single-shard
 /// engine, warmed past every sticky-capacity phase, then metered tick by
 /// tick. The minimum is the steady-state figure; the gate is zero.
-size_t steadyTickAllocs(bool Memoize) {
+size_t steadyTickAllocs() {
   exp::FleetScenarioConfig Config;
   Config.Shards = 1;
   Config.Tenants = 512;
   Config.ChurnRate = 0.0;
   Config.BurstEvery = 0;
   Config.StormShards = 0;
-  Config.Memoize = Memoize;
   exp::FleetScenario Scenario(Config);
   Scenario.seed();
 
   sim::FleetEngine &Engine = Scenario.engine();
-  Engine.stepShard(0, 128); // Warm-up: capacities and memo tables settle.
+  Engine.stepShard(0, 128); // Warm-up: capacities settle.
   size_t Min = std::numeric_limits<size_t>::max();
   for (int I = 0; I < 64; ++I) {
     size_t Before = GAllocCount.load();
@@ -181,31 +180,11 @@ int main(int Argc, char **Argv) {
             << Config.TicksPerRound << " ticks, policy '" << Config.Policy
             << "'\n\n";
 
-  // The timed run, memo off.
   exp::FleetResult Plain = exp::runFleetScenario(Config);
   printResult("fleet", Plain);
 
-  // Memoized run: the deterministic half must be bit-identical — the memo
-  // may only skip arithmetic that provably reproduces the same bits.
-  exp::FleetScenarioConfig MemoConfig = Config;
-  MemoConfig.Memoize = true;
-  exp::FleetResult Memo = exp::runFleetScenario(MemoConfig);
-  printResult("memoized", Memo);
-  if (Memo.DecisionChecksum != Plain.DecisionChecksum ||
-      Memo.DecisionsTotal != Plain.DecisionsTotal ||
-      Memo.Stats.Checksum != Plain.Stats.Checksum) {
-    std::cerr << "FAIL: memoized run diverged from the plain run "
-                 "(decision checksum "
-              << Memo.DecisionChecksum << " vs " << Plain.DecisionChecksum
-              << ")\n";
-    return 1;
-  }
-  std::cout << "  memo bit-identity: decision+stats checksums match\n";
-
-  size_t TickAllocs = steadyTickAllocs(/*Memoize=*/false);
-  size_t TickAllocsMemo = steadyTickAllocs(/*Memoize=*/true);
-  std::cout << "  steady tick: " << TickAllocs << " heap allocations ("
-            << TickAllocsMemo << " memoized)\n";
+  size_t TickAllocs = steadyTickAllocs();
+  std::cout << "  steady tick: " << TickAllocs << " heap allocations\n";
 
   if (Smoke) {
     std::cout << "\nsmoke run -- BENCH_fleet.json not written\n";
@@ -215,9 +194,6 @@ int main(int Argc, char **Argv) {
   double NsPerTick =
       Plain.WallSeconds * 1e9 /
       static_cast<double>(std::max<uint64_t>(1, Plain.Stats.Totals.Ticks));
-  double NsPerTickMemo =
-      Memo.WallSeconds * 1e9 /
-      static_cast<double>(std::max<uint64_t>(1, Memo.Stats.Totals.Ticks));
   const support::LatencyHistogram &H = Plain.TickLatency;
 
   std::ofstream Json("BENCH_fleet.json");
@@ -230,9 +206,6 @@ int main(int Argc, char **Argv) {
        << ", \"ticks_per_sec\": " << Plain.TicksPerSec
        << ", \"decisions_per_sec\": " << Plain.DecisionsPerSec
        << ", \"allocs_per_steady_tick\": " << TickAllocs << "},\n"
-       << "  \"fleet_memoized\": {\"ns_per_tick\": " << NsPerTickMemo
-       << ", \"decisions_per_sec\": " << Memo.DecisionsPerSec
-       << ", \"allocs_per_steady_tick\": " << TickAllocsMemo << "},\n"
        << "  \"tick_latency\": {\"p50_ns\": " << H.p50()
        << ", \"p95_ns\": " << H.p95() << ", \"p99_ns\": " << H.p99()
        << ", \"p999_ns\": " << H.p999() << ", \"max_ns\": " << H.max()

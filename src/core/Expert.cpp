@@ -50,16 +50,6 @@ unsigned Expert::predictThreads(const policy::FeatureVector &Features) const {
   return static_cast<unsigned>(N);
 }
 
-unsigned
-Expert::predictThreadsStandardized(const policy::FeatureVector &Features,
-                                   const Vec &Std) const {
-  assert(LinearThread && "standardised prediction needs a linear expert");
-  double Raw = LinearThread->predictStandardized(Std);
-  long N = std::lround(Raw);
-  N = std::clamp<long>(N, 1, static_cast<long>(Features.MaxThreads));
-  return static_cast<unsigned>(N);
-}
-
 double Expert::predictEnvNorm(const policy::FeatureVector &Features) const {
   double Raw = LinearEnv ? LinearEnv->predict(Features.Values)
                          : EnvFn(Features.Values);

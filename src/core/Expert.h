@@ -60,13 +60,6 @@ public:
   /// Thread prediction n = clamp(round(w . f + beta), 1, MaxThreads).
   unsigned predictThreads(const policy::FeatureVector &Features) const;
 
-  /// Thread prediction from a pre-standardised feature vector \p Std
-  /// (threadModel()->scaler() applied to Features.Values). Only valid for
-  /// linear experts; bit-identical to predictThreads. The mixture uses this
-  /// to standardise once per decision when all experts share a scaler.
-  unsigned predictThreadsStandardized(const policy::FeatureVector &Features,
-                                      const Vec &Std) const;
-
   /// Environment prediction ||ê_{t+1}|| = m . f_t + beta.
   double predictEnvNorm(const policy::FeatureVector &Features) const;
 

@@ -63,6 +63,13 @@ unsigned LiveMixture::select(const policy::FeatureVector &Features) {
   return Inner->select(Features);
 }
 
+unsigned LiveMixture::decide(const policy::FeatureVector &Features,
+                             const double *Row) {
+  if (Rollout)
+    Rollout->observe(Features);
+  return Inner->decide(Features, Row);
+}
+
 void LiveMixture::observe(const workload::RegionOutcome &Outcome) {
   Inner->observe(Outcome);
 }

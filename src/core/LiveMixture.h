@@ -55,6 +55,18 @@ public:
   void beginDecisionEpoch() override;
 
   unsigned select(const policy::FeatureVector &Features) override;
+
+  /// The inner mixture's pure row; its generation moves with every
+  /// snapshot swap, so rows never outlive the experts that priced them.
+  size_t rowWidth() const override { return Inner->rowWidth(); }
+  void prepare(const policy::FeatureVector &Features,
+               double *Row) const override {
+    Inner->prepare(Features, Row);
+  }
+  unsigned decide(const policy::FeatureVector &Features,
+                  const double *Row) override;
+  uint64_t pureGeneration() const override { return Inner->pureGeneration(); }
+
   void observe(const workload::RegionOutcome &Outcome) override;
   void reset() override;
   const std::string &name() const override;

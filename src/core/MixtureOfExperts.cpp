@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 
 using namespace medley;
 using namespace medley::core;
@@ -28,6 +27,7 @@ MixtureOfExperts::MixtureOfExperts(
   assert(!this->Stats || this->Stats->numExperts() == this->Experts->size());
 
   bindExpertViews();
+  ScratchRow.resize(rowWidth());
 }
 
 void MixtureOfExperts::bindExpertViews() {
@@ -35,9 +35,6 @@ void MixtureOfExperts::bindExpertViews() {
   ThreadModels.clear();
   EnvModels.clear();
   AnyEnvObserver = false;
-  // New models produce new bits for the same features; drop the memo.
-  MemoValid = false;
-  MemoHaveThreadPreds = false;
 
   // ExpertBuilder trains every thread predictor with one corpus-wide
   // scaler; when that holds (element-wise identical moments), the decision
@@ -67,6 +64,7 @@ void MixtureOfExperts::bindExpertViews() {
   }
   if (EnvModels.size() != Experts->size())
     EnvModels.clear(); // Mixed linear/external experts: keep the slow path.
+  EnvInRow = !EnvModels.empty() && !AnyEnvObserver;
   if (SharedThreadScaler)
     for (const Expert &E : *Experts)
       // medley-lint: allow(hotpath-escape) swap-boundary rebind (as above)
@@ -82,6 +80,7 @@ bool MixtureOfExperts::rebindExperts(
   // new experts against them would charge them for models they never ran.
   HasPending = false;
   bindExpertViews();
+  ++Generation;
   return true;
 }
 
@@ -90,30 +89,49 @@ void MixtureOfExperts::readmitQuarantined() {
     Guarded->readmitAll();
 }
 
-void MixtureOfExperts::stashPending(const policy::FeatureVector &Features,
-                                    size_t Chosen, bool ReusePredictions) {
-  PendingFeatures = Features.Values;
-  if (ReusePredictions) {
-    // Memo hit: PendingEnvPredictions still holds the predictions for
-    // exactly these feature bits under the current expert set (nothing
-    // else writes it), so recomputing them would reproduce the same
-    // values — skip straight to re-arming the judgement.
-    assert(PendingEnvPredictions.size() == Experts->size());
-    PendingChosen = Chosen;
-    HasPending = true;
-    return;
-  }
-  PendingEnvPredictions.resize(Experts->size());
-  if (!EnvModels.empty()) {
-    // Direct linear path, bit-identical to Expert::predictEnvNorm: batch
-    // the raw predictions, then clamp at zero like predictEnvNorm does.
-    LinearModel::predictMany(EnvModels.data(), EnvModels.size(),
-                             Features.Values, PendingEnvPredictions.data());
-    for (size_t K = 0; K < EnvModels.size(); ++K)
-      PendingEnvPredictions[K] = std::max(0.0, PendingEnvPredictions[K]);
+void MixtureOfExperts::prepare(const policy::FeatureVector &Features,
+                               double *Row) const {
+  const size_t K = Experts->size();
+  if (SharedThreadScaler) {
+    // Standardise once, then score all experts from the shared copy —
+    // bit-identical to each expert's own fused predict().
+    SharedThreadScaler->transformInto(Features.Values, ScratchStd);
+    LinearModel::predictStandardizedMany(ThreadModels.data(), K, ScratchStd,
+                                         Row);
   } else {
-    for (size_t K = 0; K < Experts->size(); ++K)
-      PendingEnvPredictions[K] = (*Experts)[K].predictEnvNorm(Features);
+    std::fill(Row, Row + K, 0.0); // Unfilled halves are still defined.
+  }
+  if (EnvInRow) {
+    // Bit-identical to Expert::predictEnvNorm: batch the raw predictions,
+    // then clamp at zero like predictEnvNorm does.
+    LinearModel::predictMany(EnvModels.data(), K, Features.Values, Row + K);
+    for (size_t I = K; I < 2 * K; ++I)
+      Row[I] = std::max(0.0, Row[I]);
+  } else {
+    std::fill(Row + K, Row + 2 * K, 0.0);
+  }
+}
+
+unsigned MixtureOfExperts::expertThreads(const policy::FeatureVector &Features,
+                                         const double *Row, size_t K) const {
+  if (!SharedThreadScaler)
+    return (*Experts)[K].predictThreads(Features);
+  // Same rounding and clamping as Expert::predictThreads.
+  long R = std::lround(Row[K]);
+  R = std::clamp<long>(R, 1, static_cast<long>(Features.MaxThreads));
+  return static_cast<unsigned>(R);
+}
+
+void MixtureOfExperts::stashPending(const policy::FeatureVector &Features,
+                                    const double *Row, size_t Chosen) {
+  PendingFeatures = Features.Values;
+  const size_t K = Experts->size();
+  if (EnvInRow) {
+    PendingEnvPredictions.assign(Row + K, Row + 2 * K);
+  } else {
+    PendingEnvPredictions.resize(K);
+    for (size_t I = 0; I < K; ++I)
+      PendingEnvPredictions[I] = (*Experts)[I].predictEnvNorm(Features);
   }
   PendingChosen = Chosen;
   HasPending = true;
@@ -157,17 +175,12 @@ void MixtureOfExperts::judgePreviousDecision(
 }
 
 unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
-  // Pure-part memo probe (before the judge runs: the judge only updates
-  // the selector, never the cached pure computations). A hit means the
-  // previous decision saw these exact feature bits, so its standardised
-  // features, batched thread scores and environment predictions are
-  // bitwise reusable; gating and adaptation below still run in full.
-  const bool MemoHit =
-      Options.Memoize && MemoValid &&
-      Features.Values.size() == policy::NumFeatures &&
-      std::memcmp(MemoKey.data(), Features.Values.data(),
-                  sizeof(double) * policy::NumFeatures) == 0;
+  prepare(Features, ScratchRow.data());
+  return decide(Features, ScratchRow.data());
+}
 
+unsigned MixtureOfExperts::decide(const policy::FeatureVector &Features,
+                                  const double *Row) {
   judgePreviousDecision(Features);
 
   if (Options.Faults && Features.SanitizedCount > 0)
@@ -184,46 +197,23 @@ unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
     double Processors = Features.Values[4];
     long N = std::clamp<long>(std::lround(Processors), 1,
                               static_cast<long>(Features.MaxThreads));
-    unsigned Threads = static_cast<unsigned>(N);
-    stashPending(Features, LastExpert, MemoHit);
-    rememberMemoKey(Features, /*ComputedThreadPreds=*/false, MemoHit);
-    return Threads;
+    stashPending(Features, Row, LastExpert);
+    return static_cast<unsigned>(N);
   }
 
   size_t Chosen;
   unsigned Threads;
   bool HaveThreadPreds = false;
-  bool ComputedThreadPreds = false;
   Vec &Weights = ScratchWeights;
   if (Options.SoftBlend &&
       Selector->blendWeights(Features.Values, Weights)) {
     // Soft gating: accuracy-weighted blend of the expert predictions.
-    if (SharedThreadScaler) {
-      if (!(MemoHit && MemoHaveThreadPreds)) {
-        SharedThreadScaler->transformInto(Features.Values, ScratchStd);
-        ScratchRawThreads.resize(ThreadModels.size());
-        LinearModel::predictStandardizedMany(ThreadModels.data(),
-                                             ThreadModels.size(), ScratchStd,
-                                             ScratchRawThreads.data());
-      }
-      // Either branch leaves ScratchStd/ScratchRawThreads holding the
-      // values for exactly these feature bits.
-      ComputedThreadPreds = true;
-    }
     ScratchThreadPreds.resize(Experts->size());
     double Blend = 0.0;
     double BestWeight = -1.0;
     Chosen = 0;
     for (size_t K = 0; K < Experts->size(); ++K) {
-      unsigned N;
-      if (SharedThreadScaler) {
-        // Same rounding and clamping as Expert::predictThreads.
-        long R = std::lround(ScratchRawThreads[K]);
-        R = std::clamp<long>(R, 1, static_cast<long>(Features.MaxThreads));
-        N = static_cast<unsigned>(R);
-      } else {
-        N = (*Experts)[K].predictThreads(Features);
-      }
+      unsigned N = expertThreads(Features, Row, K);
       ScratchThreadPreds[K] = N;
       Blend += Weights[K] * static_cast<double>(N);
       if (Weights[K] > BestWeight) {
@@ -239,24 +229,23 @@ unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
   } else {
     Chosen = Selector->select(Features.Values);
     assert(Chosen < Experts->size() && "selector returned a bad index");
-    Threads = (*Experts)[Chosen].predictThreads(Features);
+    Threads = expertThreads(Features, Row, Chosen);
   }
   LastExpert = Chosen;
 
   // Stash this decision's environment predictions; they are judged at the
   // next region, which is the paper's next timestamp.
-  stashPending(Features, Chosen, MemoHit);
-  rememberMemoKey(Features, ComputedThreadPreds, MemoHit);
+  stashPending(Features, Row, Chosen);
 
   if (Stats) {
     ++Stats->SelectionCounts[Chosen];
     Stats->MixtureThreads.add(Threads);
-    // predictThreads is pure, so the per-expert predictions cached by the
-    // blend loop above are exactly what a recomputation would produce.
+    // Thread predictions are pure, so the per-expert predictions cached by
+    // the blend loop above are exactly what a recomputation would produce.
     if (!HaveThreadPreds) {
       ScratchThreadPreds.resize(Experts->size());
       for (size_t K = 0; K < Experts->size(); ++K)
-        ScratchThreadPreds[K] = (*Experts)[K].predictThreads(Features);
+        ScratchThreadPreds[K] = expertThreads(Features, Row, K);
     }
     for (size_t K = 0; K < Experts->size(); ++K)
       Stats->ExpertThreads[K].add(ScratchThreadPreds[K]);
@@ -264,30 +253,10 @@ unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
   return Threads;
 }
 
-void MixtureOfExperts::rememberMemoKey(const policy::FeatureVector &Features,
-                                       bool ComputedThreadPreds,
-                                       bool MemoHit) {
-  if (!Options.Memoize)
-    return;
-  if (Features.Values.size() != policy::NumFeatures) {
-    MemoValid = false;
-    MemoHaveThreadPreds = false;
-    return;
-  }
-  std::memcpy(MemoKey.data(), Features.Values.data(),
-              sizeof(double) * policy::NumFeatures);
-  MemoValid = true;
-  // Thread scores stay reusable if this call refreshed them, or if the key
-  // did not change and they were already pinned to it.
-  MemoHaveThreadPreds = ComputedThreadPreds || (MemoHit && MemoHaveThreadPreds);
-}
-
 void MixtureOfExperts::reset() {
   Selector->reset();
   HasPending = false;
   LastExpert = 0;
-  MemoValid = false;
-  MemoHaveThreadPreds = false;
 }
 
 const std::string &MixtureOfExperts::name() const {

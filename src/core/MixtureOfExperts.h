@@ -26,7 +26,6 @@
 #include "core/MoeStats.h"
 #include "policy/ThreadPolicy.h"
 
-#include <array>
 #include <memory>
 
 namespace medley::core {
@@ -49,16 +48,6 @@ struct MixtureOptions {
   /// outlive the policy instance.
   support::FaultStats *Faults = nullptr;
 
-  /// Pure-part decision memoization (ROADMAP item 5): when consecutive
-  /// decisions arrive with bit-identical feature vectors — which the fleet
-  /// engine's environment epochs make the common case — the expensive
-  /// pure computations (feature standardisation, the batched thread-model
-  /// scoring, the per-expert environment predictions) are reused from the
-  /// previous decision instead of recomputed. Selector adaptation (the
-  /// judge update) and gating still run on every decision, so the emitted
-  /// decision sequence is bit-identical with the memo on or off; only the
-  /// arithmetic that provably reproduces the same bits is skipped.
-  bool Memoize = false;
 };
 
 /// Mixture-of-experts thread-selection policy.
@@ -73,6 +62,24 @@ public:
                    MixtureOptions Options = {});
 
   unsigned select(const policy::FeatureVector &Features) override;
+
+  /// Pure row of 2K doubles: [0, K) the raw thread-model outputs, filled
+  /// when every expert's thread model is linear with one shared scaler;
+  /// [K, 2K) the zero-clamped environment predictions, filled when every
+  /// environment model is linear and no expert learns it online. A half
+  /// that is not filled is computed inside decide() instead.
+  size_t rowWidth() const override { return 2 * Experts->size(); }
+  void prepare(const policy::FeatureVector &Features,
+               double *Row) const override;
+
+  /// Judges the previous decision, gates, and stashes this decision's
+  /// environment predictions, reading the expert predictions from \p Row.
+  unsigned decide(const policy::FeatureVector &Features,
+                  const double *Row) override;
+
+  /// Bumped by every rebindExperts(): rows priced the old experts.
+  uint64_t pureGeneration() const override { return Generation; }
+
   void reset() override;
   const std::string &name() const override;
 
@@ -84,9 +91,10 @@ public:
 
   /// Swaps in a new expert vector of the same arity while keeping the
   /// selector's learned state — the registry swap boundary (DESIGN.md
-  /// §14): pending judgements are dropped (they priced the old experts)
-  /// and the batched-scoring views are rebuilt. Returns false (and changes
-  /// nothing) on an arity mismatch. Not part of the steady decision path.
+  /// §14): pending judgements are dropped (they priced the old experts),
+  /// the batched-scoring views are rebuilt and pureGeneration() moves on.
+  /// Returns false (and changes nothing) on an arity mismatch. Not part of
+  /// the steady decision path.
   bool rebindExperts(std::shared_ptr<const std::vector<Expert>> NewExperts);
 
   /// Forwards rollback re-admission to a QuarantineSelector-wrapped
@@ -100,18 +108,16 @@ private:
   void bindExpertViews();
   void judgePreviousDecision(const policy::FeatureVector &Features);
 
-  /// Records this decision's per-expert environment predictions so the
-  /// next call can judge them. When \p ReusePredictions is set, the
-  /// predictions already in PendingEnvPredictions were computed from
-  /// bit-identical features against the same expert set and are kept.
-  void stashPending(const policy::FeatureVector &Features, size_t Chosen,
-                    bool ReusePredictions = false);
+  /// Records this decision's per-expert environment predictions (the
+  /// row's env half when it is filled) so the next call can judge them.
+  void stashPending(const policy::FeatureVector &Features, const double *Row,
+                    size_t Chosen);
 
-  /// Pins the memo to this decision's feature bits after the decision
-  /// completes; \p ComputedThreadPreds records whether ScratchStd /
-  /// ScratchRawThreads were (re)filled for these features this call.
-  void rememberMemoKey(const policy::FeatureVector &Features,
-                       bool ComputedThreadPreds, bool MemoHit);
+  /// Expert \p K's thread prediction: the row's rounded and clamped raw
+  /// output when the thread half is filled, Expert::predictThreads
+  /// otherwise. Bit-identical either way.
+  unsigned expertThreads(const policy::FeatureVector &Features,
+                         const double *Row, size_t K) const;
 
   std::shared_ptr<const std::vector<Expert>> Experts;
   std::unique_ptr<ExpertSelector> Selector;
@@ -129,9 +135,12 @@ private:
   // clones), so plain members need no synchronisation.
   Vec ScratchErrors;
   Vec ScratchWeights;
-  Vec ScratchStd;
-  Vec ScratchRawThreads;
+  Vec ScratchRow; ///< select()'s row; rowWidth() doubles from construction.
   std::vector<unsigned> ScratchThreadPreds;
+
+  /// prepare()'s standardised features. prepare() is const but, like the
+  /// rest of the scratch, used by one worker at a time.
+  mutable Vec ScratchStd;
 
   /// Set when every expert's thread predictor is linear and uses the same
   /// feature scaler (the ExpertBuilder trains them that way): features are
@@ -152,15 +161,12 @@ private:
   /// per-decision observeEnvironment fan-out is a guaranteed no-op.
   bool AnyEnvObserver = false;
 
-  /// Pure-part memo state (MixtureOptions::Memoize): MemoKey holds the
-  /// feature values of the previous decision; when the next decision's
-  /// values match bitwise, ScratchStd / ScratchRawThreads (if
-  /// MemoHaveThreadPreds) and PendingEnvPredictions still hold exactly
-  /// what recomputation would produce. Invalidated by reset() and by
-  /// expert rebinds (new models, new bits).
-  bool MemoValid = false;
-  bool MemoHaveThreadPreds = false;
-  std::array<double, policy::NumFeatures> MemoKey{};
+  /// True when prepare() fills the row's environment half: every env
+  /// model is linear and none learns online, so the predictions are a
+  /// function of the features and the expert set alone.
+  bool EnvInRow = false;
+
+  uint64_t Generation = 0;
 };
 
 } // namespace medley::core

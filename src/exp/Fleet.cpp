@@ -115,17 +115,8 @@ FleetScenario::FleetScenario(FleetScenarioConfig InConfig)
   for (const workload::ProgramSpec &Spec : workload::Catalog::allPrograms())
     Specs->push_back(std::make_shared<const workload::ProgramSpec>(Spec));
 
-  // Per-shard policy instances. The factory is resolved once; mixture
-  // instances get the pure-part memo when the scenario memoizes.
-  PolicySet &Policies = PolicySet::instance();
-  policy::PolicyFactory Factory;
-  if (Config.Policy == "mixture" && Config.Memoize) {
-    core::MixtureOptions Options;
-    Options.Memoize = true;
-    Factory = Policies.mixtureFactory(4, "regime", nullptr, Options);
-  } else {
-    Factory = Policies.factory(Config.Policy);
-  }
+  // Per-shard policy instances from one factory, resolved once.
+  policy::PolicyFactory Factory = PolicySet::instance().factory(Config.Policy);
 
   Bindings = std::make_shared<std::vector<Binding>>();
   Bindings->reserve(Config.Shards);
@@ -138,10 +129,7 @@ FleetScenario::FleetScenario(FleetScenarioConfig InConfig)
   // hold references to their Binding's policy, so storage must be final.
   for (unsigned S = 0; S < Config.Shards; ++S) {
     Binding &B = (*Bindings)[S];
-    runtime::BindOptions Options;
-    Options.Memoize = Config.Memoize;
-    workload::ThreadChooser Inner =
-        runtime::bindPolicy(*B.Policy, Cores, Options);
+    workload::ThreadChooser Inner = runtime::bindPolicy(*B.Policy, Cores);
     FleetShardDecisions *Log = &B.Log;
     B.Chooser = [Inner, Log](const workload::RegionContext &Ctx) {
       unsigned Threads = Inner(Ctx);

@@ -48,7 +48,7 @@ public:
   /// Mixture factory with explicit granularity and selector kind
   /// ("regime", "accuracy", "binned", "perceptron", "hyperplane", "random"). \p Stats, if given, is shared
   /// by every instance the factory creates. \p Options configures each
-  /// instance (e.g. pure-part memoization for fleet-scale hot paths).
+  /// instance.
   policy::PolicyFactory
   mixtureFactory(unsigned NumExperts, const std::string &SelectorKind,
                  std::shared_ptr<core::MoeStats> Stats = nullptr,

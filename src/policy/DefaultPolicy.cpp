@@ -12,10 +12,16 @@
 using namespace medley::policy;
 
 unsigned DefaultPolicy::select(const FeatureVector &Features) {
+  double Row;
+  prepare(Features, &Row);
+  return decide(Features, &Row);
+}
+
+void DefaultPolicy::prepare(const FeatureVector &Features, double *Row) const {
   // f5 is the current number of available processors.
   double Processors = Features.Values[4];
   long N = std::lround(Processors);
-  return static_cast<unsigned>(std::max(1L, N));
+  Row[0] = static_cast<double>(std::max(1L, N));
 }
 
 const std::string &DefaultPolicy::name() const {

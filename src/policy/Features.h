@@ -59,13 +59,6 @@ FeatureVector buildFeatures(const workload::RegionContext &Context,
 void buildFeatures(const workload::RegionContext &Context, unsigned TotalCores,
                    FeatureVector &Out);
 
-/// Reusable per-binding decision state. Each policy binding (one per
-/// experiment cell / worker thread) owns one, so consecutive decisions
-/// share buffers without any cross-thread contention.
-struct DecisionScratch {
-  FeatureVector Features;
-};
-
 /// Repairs \p Values in place: every non-finite entry becomes 0. Returns
 /// the number of entries repaired.
 unsigned sanitizeValues(Vec &Values);

@@ -20,7 +20,13 @@ OfflinePolicy::OfflinePolicy(LinearModel ThreadModel, std::string PolicyName)
 }
 
 unsigned OfflinePolicy::select(const FeatureVector &Features) {
+  double Row;
+  prepare(Features, &Row);
+  return decide(Features, &Row);
+}
+
+void OfflinePolicy::prepare(const FeatureVector &Features, double *Row) const {
   long N = std::lround(ThreadModel.predict(Features.Values));
   N = std::clamp<long>(N, 1, static_cast<long>(Features.MaxThreads));
-  return static_cast<unsigned>(N);
+  Row[0] = static_cast<double>(N);
 }

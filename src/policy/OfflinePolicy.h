@@ -29,6 +29,12 @@ public:
                          std::string PolicyName = "offline");
 
   unsigned select(const FeatureVector &Features) override;
+  /// The clamped prediction is the whole answer: a one-entry pure row.
+  size_t rowWidth() const override { return 1; }
+  void prepare(const FeatureVector &Features, double *Row) const override;
+  unsigned decide(const FeatureVector &, const double *Row) override {
+    return static_cast<unsigned>(Row[0]);
+  }
   void reset() override {}
   const std::string &name() const override { return PolicyName; }
   /// One frozen model, no adaptation: decisions depend on features alone.

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The interface every thread-selection policy implements: select() is
-/// invoked at every parallel region start with the 10-feature vector, and
+/// The interface every thread-selection policy implements: a decision is
+/// taken at every parallel region start from the 10-feature vector, and
 /// observe() reports each completed region so adaptive policies can react.
 /// One policy instance drives one program for one run; reset() rewinds any
 /// adaptation state between runs.
@@ -18,18 +18,47 @@
 
 #include "policy/Features.h"
 
+#include <cstdint>
 #include <memory>
 
 namespace medley::policy {
 
 /// Abstract thread-selection policy.
+///
+/// A decision splits into two halves. prepare() computes the policy's pure
+/// row: everything that is a function of the features alone (for the
+/// mixture, every expert's raw thread and environment prediction). decide()
+/// runs the sequential rest (judging, adaptation, gating, statistics) on
+/// the features plus a row prepare() filled for exactly those features.
+/// The runtime binding keeps prepared rows in its epoch table and calls
+/// prepare() only on a miss; select() is the two halves back to back.
 class ThreadPolicy {
 public:
   virtual ~ThreadPolicy();
 
   /// Chooses a thread count for the upcoming region execution. The result
-  /// is clamped by the runtime to [1, Features.MaxThreads].
+  /// is clamped by the runtime to [1, Features.MaxThreads]. Must equal
+  /// prepare() followed by decide() on a fresh row.
   virtual unsigned select(const FeatureVector &Features) = 0;
+
+  /// Number of doubles in the pure row; fixed for the policy's lifetime.
+  /// Default: 0, no pure part (decide() then falls back to select()).
+  virtual size_t rowWidth() const;
+
+  /// Fills Row[0, rowWidth()) from \p Features. Must be a pure function
+  /// of every FeatureVector field except Now, and of pureGeneration():
+  /// no adaptation state read, nothing written but the row (and scratch).
+  virtual void prepare(const FeatureVector &Features, double *Row) const;
+
+  /// The sequential half of a decision. \p Row holds what prepare()
+  /// computed for bitwise-equal features under the current
+  /// pureGeneration(). Default: select(Features), ignoring the row.
+  virtual unsigned decide(const FeatureVector &Features, const double *Row);
+
+  /// Names the models prepare() reads. A policy bumps it whenever those
+  /// change (the live mixture's expert-set rebind); a row prepared under
+  /// another generation must not be reused. Default: 0, never changes.
+  virtual uint64_t pureGeneration() const;
 
   /// Decision-epoch boundary: invoked by the runtime binding immediately
   /// before each decision's features are assembled. Policies backed by a
@@ -43,12 +72,9 @@ public:
 
   /// True when select() is a pure function of the feature vector: no
   /// adaptation state read or written, no randomness, no external snapshot
-  /// swaps at epoch boundaries. The runtime's decision memo may then reuse
-  /// a prior decision outright (skipping select()) whenever it can prove
-  /// the features are bit-identical; for impure policies it may only skip
-  /// feature assembly, never the select() call — skipping one would starve
-  /// the policy's internal adaptation and change later decisions. Default:
-  /// false (the conservative answer is always correct).
+  /// swaps at epoch boundaries. The runtime binding asks once, when it
+  /// binds the policy, and then skips beginDecisionEpoch() for a pure
+  /// policy. Default: false (the conservative answer is always correct).
   virtual bool decisionsArePure() const { return false; }
 
   /// Rewinds adaptation state for a fresh run.

@@ -49,11 +49,6 @@ struct CoExecutionConfig {
   /// Record per-tick traces (availability, workload threads, env norm).
   bool RecordTraces = false;
 
-  /// Region-level decision memoization for every policy binding of the run
-  /// (BindOptions::Memoize). Off by default; decision sequences are
-  /// bit-identical either way — this is purely a hot-path switch.
-  bool MemoizeDecisions = false;
-
   /// Optional fault injection (the chaos harness): when set, every run
   /// constructs a fresh injector and hands it to the simulation, which
   /// then perturbs sensors, availability and monitor updates according to

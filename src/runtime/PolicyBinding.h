@@ -7,7 +7,8 @@
 /// \file
 /// Glue turning a ThreadPolicy into the ThreadChooser/RegionObserver hooks
 /// a Program expects: features are assembled from the region context at
-/// every parallel-loop start, and region completions are fed back.
+/// every parallel-loop start (once per distinct input per environment
+/// epoch), and region completions are fed back.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,35 +37,23 @@ struct Decision {
 /// never below 1. No policy can oversubscribe an unplugged machine.
 unsigned threadCeiling(const policy::FeatureVector &Features);
 
-/// Options for bindPolicy.
-struct BindOptions {
-  /// Region-level decision memoization (ROADMAP item 5, DESIGN.md §16.5).
-  /// The chooser keeps a small direct-mapped memo keyed on (region
-  /// identity, environment epoch, observer workload-thread bits,
-  /// MaxThreads); the simulator's EnvEpoch proves every other selector
-  /// input bit-identical, so a hit reuses the previously assembled
-  /// feature vector without rebuilding it — and, when the policy declares
-  /// decisionsArePure(), reuses the previous decision outright without
-  /// calling select(). Either way the emitted decision sequence is
-  /// bit-identical to the unmemoized one by construction. Contexts with
-  /// EnvEpoch == 0 (built outside the simulator) never memoize.
-  bool Memoize = false;
-
-  /// As in the two-argument bindPolicy: decisions appended here.
-  std::vector<Decision> *Trace = nullptr;
-};
-
 /// Builds a chooser that assembles the 10-feature vector and delegates to
 /// \p Policy; the result is clamped to [1, threadCeiling()]. If \p Trace
 /// is non-null, each decision is appended to it. \p Policy (and \p Trace)
-/// must outlive the returned chooser.
+/// must outlive the returned chooser, and every context it sees must come
+/// from one simulator (one EnvEpoch counter).
+///
+/// Each chooser owns a fixed-size epoch table (DESIGN.md §16.3) keyed on
+/// (region, EnvEpoch, WorkloadThreads bits, MaxThreads): equal keys prove
+/// buildFeatures' inputs bitwise equal, so an entry holds the built
+/// FeatureVector and the policy's prepared pure row, reused while the
+/// policy's pureGeneration() is unchanged. beginDecisionEpoch() and
+/// decide() still run on every decision in order, so the decision sequence
+/// is the one buildFeatures + select would give. Contexts with EnvEpoch 0
+/// (built outside the simulator) bypass the table.
 workload::ThreadChooser bindPolicy(policy::ThreadPolicy &Policy,
                                    unsigned TotalCores,
                                    std::vector<Decision> *Trace = nullptr);
-
-/// As above, with explicit options (memoization, tracing).
-workload::ThreadChooser bindPolicy(policy::ThreadPolicy &Policy,
-                                   unsigned TotalCores, BindOptions Options);
 
 /// Builds a region observer that forwards completions to \p Policy.
 workload::RegionObserver bindObserver(policy::ThreadPolicy &Policy);

@@ -16,9 +16,7 @@ using namespace medley::sim;
 
 AvailabilityPattern::~AvailabilityPattern() = default;
 
-StaticAvailability::StaticAvailability(unsigned Cores) : Cores(Cores) {
-  assert(Cores > 0 && "a machine needs at least one core");
-}
+StaticAvailability::StaticAvailability(unsigned Cores) : Cores(Cores) {}
 
 unsigned StaticAvailability::coresAt(double) { return Cores; }
 

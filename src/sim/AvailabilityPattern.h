@@ -48,6 +48,10 @@ public:
 /// A constant number of cores (the paper's "static" setting).
 class StaticAvailability : public AvailabilityPattern {
 public:
+  /// \p Cores may be 0: every core hot-unplugged for the whole run. The
+  /// simulator handles a 0-core window (Simulation::recomputeTickState):
+  /// tasks get a zero CPU share and make no progress, and the monitor's
+  /// samples stay finite.
   explicit StaticAvailability(unsigned Cores);
 
   unsigned coresAt(double Time) override;

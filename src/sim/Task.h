@@ -54,8 +54,9 @@ struct CpuAllocation {
   /// backing Env could have changed bitwise (monitor state change, fault
   /// injection, core-count change). Two allocations with equal EnvEpoch
   /// carry bit-identical Env contents except for the observer-dependent
-  /// WorkloadThreads field. Decision memoization (DESIGN.md §16.5) keys
-  /// on this to prove selector inputs unchanged without comparing them.
+  /// WorkloadThreads field. The policy binding's epoch table (DESIGN.md
+  /// §16.3) keys on this to prove feature inputs unchanged without
+  /// comparing them.
   uint64_t EnvEpoch = 0;
 };
 

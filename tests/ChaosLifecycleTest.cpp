@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <thread>
 
 using namespace medley;
 using namespace medley::core;
@@ -154,8 +155,11 @@ TEST(LifecycleChaosTest, TrainerThreadFeedsRolloutUnderReaders) {
   std::atomic<uint64_t> NullSnapshots{0};
   {
     // Workers 1..2 run reader loops until Stop; worker 3 streams
-    // candidate submissions, mimicking the background trainer.
-    support::ThreadPool Pool(3);
+    // candidate submissions, mimicking the background trainer. A pool of
+    // size N starts N - 1 workers (the caller is the N-th in
+    // parallelFor), so three workers take size 4: with only two, both
+    // could pick up a reader loop and starve every submission.
+    support::ThreadPool Pool(4);
     for (unsigned R = 0; R < 2; ++R)
       Pool.submit([&] {
         ExpertRegistry::ReaderEpoch Reader;
@@ -163,16 +167,22 @@ TEST(LifecycleChaosTest, TrainerThreadFeedsRolloutUnderReaders) {
           if (!Registry->acquire(Reader))
             ++NullSnapshots;
       });
+    std::atomic<int> Submitted{0};
     for (int Round = 0; Round < 8; ++Round)
-      Pool.submit([&Controller, Round] {
+      Pool.submit([&Controller, &Submitted, Round] {
         Controller.submitCandidate(
             {constExpert("C" + std::to_string(Round), 8.0, 1.0)});
+        Submitted.fetch_add(1, std::memory_order_release);
       });
     // Decision thread: judge towards promotion while candidates stream
-    // in. Bounded spin rather than a fixed count — the submitter worker
-    // may be scheduled long after the first decisions (promotions() is
-    // only ever written by maintain() on this thread, so the read races
-    // with nothing).
+    // in. The submitter worker may be scheduled long after this thread
+    // starts (on a loaded host, later than any fixed spin would last), so
+    // the spin starts once the first candidate is in the mailbox; the
+    // other seven may still arrive during it. Bounded spin rather than a
+    // fixed count (promotions() is only ever written by maintain() on
+    // this thread, so the read races with nothing).
+    while (Submitted.load(std::memory_order_acquire) == 0)
+      std::this_thread::yield();
     const policy::FeatureVector F = makeFeatures(1.0);
     for (int I = 0; I < 2000000 && Controller.promotions() == 0; ++I) {
       Controller.maintain();

@@ -6,8 +6,9 @@
 //
 // The fleet suite (DESIGN.md §16): the sharded engine's deterministic
 // half — per-shard stats, decision counts and checksums, and the
-// two-level reduction — must be bit-identical at any worker count, any
-// shard→slot plan, and with decision memoization on or off; unplug
+// two-level reduction — must be bit-identical at any worker count and any
+// shard→slot plan, and the policy binding's epoch table must decide exactly
+// as a plain rebuild-and-select reference chooser does; unplug
 // storms and sensor dropout confined to a leading subset of shards must
 // leave every healthy shard's results untouched. Plus unit coverage of
 // the fixed-bucket latency histogram the engine records into. Runs under
@@ -15,15 +16,25 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/LiveMixture.h"
 #include "exp/Fleet.h"
 #include "exp/PolicySet.h"
-#include "runtime/CoExecution.h"
+#include "policy/Features.h"
+#include "runtime/PolicyBinding.h"
 #include "sim/AvailabilityPattern.h"
+#include "sim/FaultInjector.h"
+#include "sim/Simulation.h"
 #include "support/Histogram.h"
+#include "support/Random.h"
 #include "workload/Catalog.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <limits>
+#include <set>
+#include <tuple>
 #include <vector>
 
 using namespace medley;
@@ -164,7 +175,7 @@ TEST(LatencyHistogramTest, TailSaturatesIntoLastBucketAndReportsExactMax) {
 }
 
 //===----------------------------------------------------------------------===//
-// Fleet determinism: jobs, placement, memoization
+// Fleet determinism: jobs, placement, the epoch table
 //===----------------------------------------------------------------------===//
 
 TEST(FleetDeterminismTest, BitIdenticalAcrossWorkerCounts) {
@@ -201,48 +212,293 @@ TEST(FleetDeterminismTest, InvariantUnderShardToSlotPlacement) {
                                    "slots 1 vs " + std::to_string(I + 1));
 }
 
-TEST(FleetDeterminismTest, DecisionMemoizationIsBitIdentical) {
-  // The binding-level memo and the mixture's pure-part memo may only skip
-  // recomputation that provably reproduces the same bits: decisions and
-  // stats match exactly with the memo on and off.
-  FleetScenarioConfig Plain = smallFleet();
-  FleetScenarioConfig Memo = smallFleet();
-  Memo.Memoize = true;
-  FleetResult A = runFleetScenario(Plain);
-  FleetResult B = runFleetScenario(Memo);
-  EXPECT_GT(A.DecisionsTotal, 0u);
-  expectDeterministicHalvesEqual(A, B, "memo off vs on");
+// The policy binding's epoch table (DESIGN.md §16.3) against a reference
+// chooser that rebuilds the features and calls select() on every decision:
+// the table may only skip work that provably reproduces the same bits, so
+// every decision, and the FNV checksum over them, must match.
+
+namespace {
+
+/// The plain decision path: beginDecisionEpoch, buildFeatures, select,
+/// clamp — no table, no row reuse.
+workload::ThreadChooser referenceChooser(policy::ThreadPolicy &Policy,
+                                         unsigned TotalCores,
+                                         std::vector<runtime::Decision> &Trace) {
+  return [&Policy, TotalCores, &Trace](const workload::RegionContext &C) {
+    Policy.beginDecisionEpoch();
+    policy::FeatureVector F = policy::buildFeatures(C, TotalCores);
+    unsigned Raw = Policy.select(F);
+    unsigned Ceiling = runtime::threadCeiling(F);
+    unsigned Threads = std::clamp(Raw, 1u, Ceiling);
+    Trace.push_back({C.Now, Threads, F.EnvNorm, Ceiling, Threads != Raw});
+    return Threads;
+  };
 }
 
-TEST(FleetDeterminismTest, CoExecutionMemoizationPreservesDecisions) {
-  // The same memo switch at the co-execution level: identical decision
-  // sequences (time, thread count, clamp) with MemoizeDecisions on/off.
-  runtime::CoExecutionConfig Config;
-  Config.Availability = [] {
-    return sim::PeriodicAvailability::standardLadder(32, 20.0, 42);
-  };
-  const workload::ProgramSpec &Target = workload::Catalog::byName("cg");
-  std::vector<std::string> Workload = {"bt", "is"};
+/// The fleet's decision checksum: order-sensitive FNV-1a over the chosen
+/// thread counts, one 64-bit word each.
+uint64_t decisionChecksum(const std::vector<runtime::Decision> &Trace) {
+  uint64_t Hash = 14695981039346656037ULL;
+  for (const runtime::Decision &D : Trace)
+    for (unsigned Byte = 0; Byte < 8; ++Byte) {
+      Hash ^= (uint64_t{D.Threads} >> (Byte * 8)) & 0xFF;
+      Hash *= 1099511628211ULL;
+    }
+  return Hash;
+}
 
-  auto runWith = [&](bool Memoize) {
-    Config.MemoizeDecisions = Memoize;
-    auto Policy = PolicySet::instance().factory("mixture")();
-    return runCoExecution(Config, Target, *Policy,
-                          runtime::patternWorkload(Workload));
-  };
-  runtime::CoExecutionResult Off = runWith(false);
-  runtime::CoExecutionResult On = runWith(true);
-  ASSERT_EQ(Off.TargetDecisions.size(), On.TargetDecisions.size());
-  ASSERT_GT(Off.TargetDecisions.size(), 0u);
-  for (size_t I = 0; I < Off.TargetDecisions.size(); ++I) {
-    EXPECT_EQ(Off.TargetDecisions[I].Threads, On.TargetDecisions[I].Threads)
-        << I;
-    EXPECT_DOUBLE_EQ(Off.TargetDecisions[I].Time, On.TargetDecisions[I].Time)
-        << I;
-    EXPECT_EQ(Off.TargetDecisions[I].Clamped, On.TargetDecisions[I].Clamped)
-        << I;
+void expectSameDecisions(const std::vector<runtime::Decision> &Table,
+                         const std::vector<runtime::Decision> &Reference,
+                         const std::string &What) {
+  ASSERT_EQ(Table.size(), Reference.size()) << What;
+  ASSERT_GT(Table.size(), 0u) << What;
+  for (size_t I = 0; I < Table.size(); ++I) {
+    ASSERT_EQ(Table[I].Threads, Reference[I].Threads) << What << " #" << I;
+    ASSERT_EQ(Table[I].Time, Reference[I].Time) << What << " #" << I;
+    ASSERT_EQ(std::bit_cast<uint64_t>(Table[I].EnvNorm),
+              std::bit_cast<uint64_t>(Reference[I].EnvNorm))
+        << What << " #" << I;
+    ASSERT_EQ(Table[I].AvailableProcessors, Reference[I].AvailableProcessors)
+        << What << " #" << I;
+    ASSERT_EQ(Table[I].Clamped, Reference[I].Clamped) << What << " #" << I;
   }
-  EXPECT_DOUBLE_EQ(Off.TargetTime, On.TargetTime);
+  EXPECT_EQ(decisionChecksum(Table), decisionChecksum(Reference)) << What;
+}
+
+/// Folds every FeatureVector field a decision may read into its answer,
+/// so a table hit that serves a stale or dropped field decides otherwise.
+class FieldEchoPolicy final : public policy::ThreadPolicy {
+public:
+  unsigned select(const policy::FeatureVector &F) override {
+    uint64_t Hash = std::bit_cast<uint64_t>(F.Now) ^
+                    std::bit_cast<uint64_t>(F.EnvNorm) ^
+                    (uint64_t{F.SanitizedCount} << 7) ^ F.MaxThreads;
+    for (double V : F.Values)
+      Hash = (Hash ^ std::bit_cast<uint64_t>(V)) * 1099511628211ULL;
+    return 1 + static_cast<unsigned>((Hash ^ (Hash >> 29)) % 64);
+  }
+  void reset() override {}
+  const std::string &name() const override {
+    static const std::string Name = "field-echo";
+    return Name;
+  }
+};
+
+/// A fresh instance of \p Name, as PolicySet's factory builds it. A
+/// "mixture-live" instance follows \p Registry, which is created holding
+/// the standard live snapshot when null, so a test can publish into it.
+std::unique_ptr<policy::ThreadPolicy>
+makePolicy(const std::string &Name,
+           std::shared_ptr<core::ExpertRegistry> &Registry) {
+  PolicySet &Policies = PolicySet::instance();
+  if (Name == "field-echo")
+    return std::make_unique<FieldEchoPolicy>();
+  if (Name != "mixture-live")
+    return Policies.factory(Name)(); // A new factory: same analytic seed.
+  std::shared_ptr<const core::ExpertSnapshot> Base =
+      Policies.liveRegistry()->current();
+  if (!Registry) {
+    Registry = std::make_shared<core::ExpertRegistry>();
+    Registry->publish(Base->Experts, Base->Scaler, Base->SelectorPrototype);
+  }
+  return std::make_unique<core::LiveMixture>(
+      Registry, std::make_unique<core::QuarantineSelector>(
+                    Base->SelectorPrototype->clone(),
+                    core::QuarantineOptions{}, nullptr));
+}
+
+/// Same arity, different models per slot: the swap must change decisions.
+void publishReversedExperts(core::ExpertRegistry &Registry) {
+  std::shared_ptr<const core::ExpertSnapshot> Current = Registry.current();
+  auto Reversed = std::make_shared<std::vector<core::Expert>>(
+      Current->Experts->rbegin(), Current->Experts->rend());
+  Registry.publish(std::move(Reversed), Current->Scaler,
+                   Current->SelectorPrototype);
+}
+
+const std::vector<std::string> &allPolicies() {
+  static const std::vector<std::string> Names = {
+      "default",  "online",           "offline",     "analytic",
+      "mixture",  "mixture-hardened", "mixture-live"};
+  return Names;
+}
+
+} // namespace
+
+TEST(FleetDeterminismTest, EpochTableMatchesReferenceOnRepeatingContexts) {
+  // A seeded context stream shaped like a fleet shard's: long epochs, a
+  // handful of regions, a few workload-thread values and two MaxThreads,
+  // so most decisions repeat an earlier key. Some epochs carry a
+  // corrupted sample and some workload-thread readings are NaN (sanitised
+  // features, interleaved with clean ones), and some contexts come from
+  // outside the simulator (epoch 0, table bypassed). Both instances see
+  // the same outcomes; the live mixture gets a registry publish halfway.
+  const auto &Catalog = workload::Catalog::allPrograms();
+  std::vector<const workload::RegionSpec *> Regions;
+  for (size_t P = 0; P < 3; ++P)
+    for (const workload::RegionSpec &R : Catalog[P].Regions)
+      Regions.push_back(&R);
+  ASSERT_GE(Regions.size(), 3u);
+
+  constexpr unsigned TotalCores = 32;
+  constexpr size_t Decisions = 20000;
+  std::vector<std::string> Names = allPolicies();
+  Names.push_back("field-echo");
+  for (const std::string &Name : Names) {
+    std::shared_ptr<core::ExpertRegistry> Registry;
+    auto TablePolicy = makePolicy(Name, Registry);
+    auto RefPolicy = makePolicy(Name, Registry);
+    std::vector<runtime::Decision> TableTrace, RefTrace;
+    workload::ThreadChooser Table =
+        runtime::bindPolicy(*TablePolicy, TotalCores, &TableTrace);
+    workload::ThreadChooser Reference =
+        referenceChooser(*RefPolicy, TotalCores, RefTrace);
+    workload::RegionObserver TableObserver = runtime::bindObserver(*TablePolicy);
+    workload::RegionObserver RefObserver = runtime::bindObserver(*RefPolicy);
+
+    Rng Gen(0x7AB1E);
+    workload::RegionContext C;
+    C.Program = &Catalog[0];
+    sim::EnvSample Env;
+    std::set<std::tuple<const void *, uint64_t, uint64_t, unsigned>> Keys;
+    for (size_t I = 0; I < Decisions; ++I) {
+      if (I % 400 == 0) {
+        C.EnvEpoch += 1;
+        Env.Processors = static_cast<double>(Gen.uniformInt(4, 32));
+        Env.RunQueue = Gen.uniform(0.0, 48.0);
+        Env.LoadAvg1 = Gen.uniform(0.0, 32.0);
+        Env.LoadAvg5 = Gen.uniform(0.0, 32.0);
+        Env.CachedMemory = Gen.uniform(0.0, 1.0);
+        Env.PageFreeRate = Gen.uniform(0.0, 0.1);
+        if (Gen.bernoulli(0.1))
+          Env.RunQueue = std::numeric_limits<double>::quiet_NaN();
+      }
+      if (Name == "mixture-live" && I == Decisions / 2 + 123)
+        publishReversedExperts(*Registry); // Mid-epoch: rows go stale.
+      C.Region = Regions[static_cast<size_t>(
+          Gen.uniformInt(0, static_cast<int64_t>(Regions.size()) - 1))];
+      C.Env = Env;
+      C.Env.WorkloadThreads =
+          Gen.bernoulli(0.05) ? std::numeric_limits<double>::quiet_NaN()
+                              : static_cast<double>(Gen.uniformInt(0, 3) * 4);
+      C.MaxThreads = Gen.bernoulli(0.8) ? 8 : TotalCores;
+      C.Now += Gen.uniform(0.0, 0.5); // Policies may time on Now.
+      workload::RegionContext Context = C;
+      if (Gen.bernoulli(0.02))
+        Context.EnvEpoch = 0;
+      else
+        Keys.insert({Context.Region, Context.EnvEpoch,
+                     std::bit_cast<uint64_t>(Context.Env.WorkloadThreads),
+                     Context.MaxThreads});
+
+      unsigned A = Table(Context);
+      unsigned B = Reference(Context);
+      workload::RegionOutcome Outcome;
+      Outcome.Region = Context.Region;
+      Outcome.Threads = A;
+      Outcome.Work = 1.0 + Gen.uniform(0.0, 1.0) * static_cast<double>(A);
+      Outcome.Duration = 0.01;
+      Outcome.EndTime = Context.Now + Outcome.Duration;
+      TableObserver(Outcome);
+      Outcome.Threads = B;
+      RefObserver(Outcome);
+    }
+    expectSameDecisions(TableTrace, RefTrace, Name);
+    EXPECT_LT(Keys.size() * 4, Decisions) << Name; // >75% repeat a key.
+  }
+}
+
+TEST(FleetDeterminismTest, EpochTableMatchesReferenceOnAFaultedShard) {
+  // One fleet shard's shape: many looping tenants sharing one chooser
+  // and (as in the fleet) a handful of shared program specs, on a machine
+  // under an unplug storm and sensor dropout. The injector moves the
+  // epoch every tick, and inside a tick the tenants repeat a few dozen
+  // keys. The table-backed shard and the reference shard must make the
+  // same decisions in the same order.
+  constexpr double Tick = 0.1;
+  constexpr unsigned Ticks = 120;
+  std::vector<std::shared_ptr<const workload::ProgramSpec>> Specs;
+  for (const char *Program : {"cg", "bt", "is", "lu"})
+    Specs.push_back(std::make_shared<const workload::ProgramSpec>(
+        workload::Catalog::byName(Program)));
+  for (const std::string &Name : allPolicies()) {
+    std::set<std::tuple<const void *, uint64_t, uint64_t, unsigned>> Keys;
+    // Each shard gets its own policy (and, for the live mixture, its own
+    // registry with a publish halfway through the run).
+    auto runShard = [&](bool UseTable) {
+      std::shared_ptr<core::ExpertRegistry> Registry;
+      auto Policy = makePolicy(Name, Registry);
+      std::vector<runtime::Decision> Trace;
+      sim::MachineConfig Machine = FleetScenario::shardMachine(200, 8);
+      sim::Simulation Sim(Machine,
+                          std::make_unique<sim::StaticAvailability>(
+                              Machine.TotalCores),
+                          Tick);
+      sim::FaultPlan Plan;
+      Plan.UnplugStorm.push_back({3.0, 6.0});
+      Plan.StormCores = Machine.TotalCores / 2;
+      Plan.SensorDropout.push_back({7.0, 9.0});
+      Sim.setFaultInjector(std::make_unique<sim::FaultInjector>(Plan, 99));
+      workload::ThreadChooser Chooser =
+          UseTable ? runtime::bindPolicy(*Policy, Machine.TotalCores, &Trace)
+                   : referenceChooser(*Policy, Machine.TotalCores, Trace);
+      if (!UseTable)
+        // Count the keys the table would see: most decisions must repeat
+        // one, or this test would not exercise table hits at all.
+        Chooser = [Inner = Chooser, &Keys](const workload::RegionContext &C) {
+          Keys.insert({C.Region, C.EnvEpoch,
+                       std::bit_cast<uint64_t>(C.Env.WorkloadThreads),
+                       C.MaxThreads});
+          return Inner(C);
+        };
+      workload::RegionObserver Observer = runtime::bindObserver(*Policy);
+      for (size_t T = 0; T < 200; ++T) {
+        auto Tenant = std::make_shared<workload::Program>(
+            Specs[T % Specs.size()], Chooser, 8, /*Looping=*/true);
+        Tenant->setRegionObserver(Observer);
+        Sim.addTask(Tenant);
+      }
+      for (unsigned T = 0; T < Ticks; ++T) {
+        if (Registry && T == Ticks / 2)
+          publishReversedExperts(*Registry);
+        Sim.step();
+      }
+      return Trace;
+    };
+    std::vector<runtime::Decision> Table = runShard(true);
+    std::vector<runtime::Decision> Reference = runShard(false);
+    expectSameDecisions(Table, Reference, Name);
+    EXPECT_LT(Keys.size() * 2, Reference.size()) << Name;
+  }
+}
+
+TEST(FleetDeterminismTest, EpochTableKeepsPinnedFleetChecksums) {
+  // The same shape `medley fleet --shards 4 --tenants 1200 --rounds 3
+  // --ticks 10 --churn 0.02 --storm-shards 2` runs, per policy. The
+  // figures were recorded from the binding before the epoch table, which
+  // rebuilt the features and called select() on every decision.
+  struct Pin {
+    const char *Policy;
+    uint64_t Stats;
+    uint64_t Decisions;
+  };
+  const Pin Pins[] = {
+      {"default", 17797824874331754055ULL, 11904891836101206285ULL},
+      {"online", 10517034922865470452ULL, 10982784697374170016ULL},
+      {"offline", 10344344890377657625ULL, 12482684214116704973ULL},
+      {"analytic", 5713994822254024033ULL, 4288814703340765245ULL},
+      {"mixture", 9814636139821825158ULL, 14801559379157404316ULL},
+  };
+  for (const Pin &P : Pins) {
+    FleetScenarioConfig Config = smallFleet();
+    Config.BurstEvery = 4;
+    Config.StormShards = 2;
+    Config.Jobs = 2;
+    Config.Policy = P.Policy;
+    FleetResult R = runFleetScenario(Config);
+    EXPECT_EQ(R.Stats.Checksum, P.Stats) << P.Policy;
+    EXPECT_EQ(R.DecisionChecksum, P.Decisions) << P.Policy;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -714,6 +714,11 @@ bool medley::lint::isDecisionEntry(const CallGraph::Node &N) {
   // allowed to live.)
   if (N.Class == "RolloutController")
     return N.Name == "observe";
+  // The two halves of a decision (ThreadPolicy::prepare/decide): the
+  // binding calls them on every region start, so every policy's pair is
+  // held to the decision loop's allocation-free bar.
+  if (N.Name == "prepare" || N.Name == "decide")
+    return N.Class == "LiveMixture" || EndsWith(N.Class, "Policy");
   if (N.Class == "LiveMixture")
     return N.Name == "select";
   // The SoA tick kernels: the per-tick column reductions and the steady
