@@ -8,8 +8,9 @@
 /// The two-phase semantic analyzer (DESIGN.md §12, §15): call-graph
 /// linking and name resolution, the L7–L9 interprocedural rules and the
 /// L10–L12 flow-sensitive rules on in-process snippets,
-/// schedule-independence of the linked graph, the incremental cache and
-/// its analyzer/rule-catalog fingerprint, baseline-key escaping and
+/// schedule-independence of the linked graph, the incremental cache (its
+/// analyzer/rule-catalog fingerprint, the all-hit no-rewrite path, and
+/// per-entry damage), baseline-key escaping and
 /// stale-entry tracking, multi-line allow coverage, and CLI runs over
 /// the seeded known-bad fixture trees.
 ///
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -783,6 +785,198 @@ TEST(CacheFingerprintTest, FingerprintBumpInvalidatesWarmEntries) {
   EXPECT_EQ(Rewarm.CacheHits, Files.size());
 
   std::filesystem::remove_all(Dir);
+}
+
+//===----------------------------------------------------------------------===//
+// Cache file: no rewrite on an all-hit run, per-hit index parsing
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Analyzes a small cross-calling tree against a cache file in a
+/// per-test scratch dir. Every file carries a token finding, so the
+/// cache holds `g` lines between the `F` lines and the index blobs.
+class CacheFileTest : public ::testing::Test {
+protected:
+  void SetUp() override {
+    const auto *Info = ::testing::UnitTest::GetInstance()->current_test_info();
+    Dir = std::filesystem::path(::testing::TempDir()) /
+          (std::string("medley_cache_file_") + Info->name());
+    std::filesystem::remove_all(Dir);
+    std::filesystem::create_directories(Dir);
+    Opts.CachePath = (Dir / "cache.txt").string();
+    for (int I = 0; I < 4; ++I) {
+      std::string N = std::to_string(I), Next = std::to_string(I + 1);
+      Files.push_back({"src/core/F" + N + ".cpp",
+                       "bool eq" + N + "(double X) { return X == 1.0; }\n"
+                       "int helper" + N + "() { return " + N + "; }\n"
+                       "int use" + N + "() { return helper" + Next +
+                           "(); }\n"});
+    }
+  }
+  void TearDown() override { std::filesystem::remove_all(Dir); }
+
+  AnalyzeResult run() { return analyzeSources(Files, Opts); }
+
+  /// What a run reports: the JSON findings report plus the linked graph.
+  static std::string report(const AnalyzeResult &R) {
+    return renderJson(R.Findings) + renderGraphJson(R.Graph);
+  }
+
+  std::string cacheText() const {
+    std::ifstream In(Opts.CachePath, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(In)),
+                       std::istreambuf_iterator<char>());
+  }
+  void writeCache(const std::string &Text) const {
+    std::ofstream(Opts.CachePath, std::ios::binary | std::ios::trunc)
+        << Text;
+  }
+
+  /// Backdates the cache file by an hour, so any later write shows as a
+  /// changed modification time.
+  std::filesystem::file_time_type backdateCache() const {
+    auto T = std::filesystem::last_write_time(Opts.CachePath) -
+             std::chrono::hours(1);
+    std::filesystem::last_write_time(Opts.CachePath, T);
+    return T;
+  }
+  bool cacheWrittenSince(std::filesystem::file_time_type T) const {
+    return std::filesystem::last_write_time(Opts.CachePath) != T;
+  }
+
+  /// The [begin, end) span of the index-length field, the last one on
+  /// the `F` line for \p File in \p Text.
+  static std::pair<size_t, size_t> lengthField(const std::string &Text,
+                                               const std::string &File) {
+    size_t Line = Text.find("\nF\t" + File + "\t");
+    EXPECT_NE(Line, std::string::npos) << File;
+    size_t End = Text.find('\n', Line + 1);
+    return {Text.rfind('\t', End) + 1, End};
+  }
+
+  std::filesystem::path Dir;
+  AnalyzeOptions Opts;
+  std::vector<SourceFile> Files;
+};
+
+} // namespace
+
+TEST_F(CacheFileTest, AllHitRunLeavesTheCacheFileUntouched) {
+  AnalyzeResult Cold = run();
+  ASSERT_EQ(Cold.CacheHits, 0u);
+  std::string Written = cacheText();
+  ASSERT_FALSE(Written.empty());
+  auto T = backdateCache();
+
+  AnalyzeResult Warm = run();
+  EXPECT_EQ(Warm.CacheHits, Files.size());
+  EXPECT_EQ(report(Warm), report(Cold));
+  EXPECT_FALSE(cacheWrittenSince(T));
+  EXPECT_EQ(cacheText(), Written);
+}
+
+TEST_F(CacheFileTest, EditedFileRewritesTheCache) {
+  run();
+  auto T = backdateCache();
+  Files[1].Source += "int extra() { return 7; }\n";
+
+  AnalyzeResult Edited = run();
+  EXPECT_EQ(Edited.CacheHits, Files.size() - 1);
+  EXPECT_TRUE(cacheWrittenSince(T));
+  // The rewrite covers the edit: the next run hits everywhere.
+  EXPECT_EQ(run().CacheHits, Files.size());
+}
+
+TEST_F(CacheFileTest, DeletedFileRewritesAndPrunesItsEntry) {
+  run();
+  auto T = backdateCache();
+  SourceFile Gone = Files.back();
+  Files.pop_back();
+
+  AnalyzeResult Fewer = run();
+  EXPECT_EQ(Fewer.CacheHits, Files.size());
+  EXPECT_TRUE(cacheWrittenSince(T));
+  EXPECT_EQ(cacheText().find("\nF\t" + Gone.Path + "\t"), std::string::npos);
+
+  // Pruned for real: bringing the file back is a miss for it alone.
+  Files.push_back(Gone);
+  EXPECT_EQ(run().CacheHits, Files.size() - 1);
+}
+
+TEST_F(CacheFileTest, CorruptIndexBlobIsAMissForThatFileOnly) {
+  AnalyzeResult Cold = run();
+  std::string Clean = cacheText();
+  // The blob's head line: I <path> <kind> <functions> <allows> <fields>.
+  size_t Head = Clean.find("\nI\t" + Files[1].Path + "\t");
+  ASSERT_NE(Head, std::string::npos);
+  ++Head;
+  const std::string Line = Clean.substr(Head, Clean.find('\n', Head) - Head);
+  ASSERT_EQ(Line, "I\t" + Files[1].Path + "\t0\t3\t0\t0");
+  // Three ways a blob can be bad: it does not parse (an unknown record
+  // tag), it names another file, or it parses short of its end (a
+  // function count one too low).
+  for (const std::string &Bad :
+       {"X\t" + Files[1].Path + "\t0\t3\t0\t0",
+        "I\t" + Files[2].Path + "\t0\t3\t0\t0",
+        "I\t" + Files[1].Path + "\t0\t2\t0\t0"}) {
+    SCOPED_TRACE(Bad);
+    // Same size, so the length field stays right and only the blob is bad.
+    ASSERT_EQ(Bad.size(), Line.size());
+    std::string Text = Clean;
+    Text.replace(Head, Line.size(), Bad);
+    writeCache(Text);
+
+    AnalyzeResult Damaged = run();
+    EXPECT_EQ(Damaged.CacheHits, Files.size() - 1);
+    EXPECT_EQ(report(Damaged), report(Cold));
+    // The miss rewrote the cache, clean again.
+    EXPECT_EQ(cacheText(), Clean);
+    EXPECT_EQ(run().CacheHits, Files.size());
+  }
+}
+
+TEST_F(CacheFileTest, WrongIndexLengthIsAMissForThatFileOnly) {
+  AnalyzeResult Cold = run();
+  std::string Clean = cacheText();
+  // Too long and too short, on an entry in the middle and on the last.
+  for (const std::string &File : {Files[1].Path, Files.back().Path}) {
+    for (long Delta : {1L, -1L, 1000000L}) {
+      SCOPED_TRACE(File + " " + std::to_string(Delta));
+      auto [Begin, End] = lengthField(Clean, File);
+      long Bytes = std::stol(Clean.substr(Begin, End - Begin));
+      std::string Text = Clean;
+      writeCache(Text.replace(Begin, End - Begin,
+                              std::to_string(Bytes + Delta)));
+
+      AnalyzeResult Damaged = run();
+      EXPECT_EQ(Damaged.CacheHits, Files.size() - 1);
+      EXPECT_EQ(report(Damaged), report(Cold));
+      EXPECT_EQ(cacheText(), Clean);
+      EXPECT_EQ(run().CacheHits, Files.size());
+    }
+  }
+}
+
+TEST_F(CacheFileTest, VersionThreeCacheLoadsCold) {
+  AnalyzeResult Cold = run();
+  std::string Clean = cacheText();
+  // The same entries in the previous format: a `medley-lint-cache 3`
+  // header and `F` lines without the index length.
+  std::string Old = Clean;
+  ASSERT_EQ(Old.rfind("medley-lint-cache 4\t", 0), 0u) << Old.substr(0, 40);
+  Old.replace(0, std::string("medley-lint-cache 4").size(),
+              "medley-lint-cache 3");
+  for (const SourceFile &SF : Files) {
+    auto [Begin, End] = lengthField(Old, SF.Path);
+    Old.erase(Begin - 1, End - Begin + 1);
+  }
+  writeCache(Old);
+
+  AnalyzeResult FromOld = run();
+  EXPECT_EQ(FromOld.CacheHits, 0u);
+  EXPECT_EQ(report(FromOld), report(Cold));
+  EXPECT_EQ(cacheText(), Clean);
 }
 
 //===----------------------------------------------------------------------===//

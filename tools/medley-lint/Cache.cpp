@@ -18,7 +18,7 @@ namespace {
 /// cold. Rule-semantics changes are covered by the fingerprint field
 /// next to it (cacheFingerprint), so forgetting a manual bump cannot
 /// serve stale reports.
-const char *const CacheHeader = "medley-lint-cache 3";
+const char *const CacheHeader = "medley-lint-cache 4";
 
 bool parseU64(const std::string &S, unsigned long long &Out) {
   if (S.empty())
@@ -33,6 +33,14 @@ bool parseU64(const std::string &S, unsigned long long &Out) {
     Out = Next;
   }
   return true;
+}
+
+/// True when \p Pos starts an `F` line or is the end of \p Data: where
+/// an index blob of the right length must end.
+bool atEntryBoundary(const std::string &Data, size_t Pos) {
+  if (Pos == 0 || Pos > Data.size() || Data[Pos - 1] != '\n')
+    return false;
+  return Pos == Data.size() || Data.compare(Pos, 2, "F\t") == 0;
 }
 
 } // namespace
@@ -76,14 +84,16 @@ void LintCache::load(const std::string &Path) {
       F[1] != std::to_string(Fingerprint))
     return;
   while (Pos < Data.size()) {
-    if (!readTsvLine(Data, Pos, F) || F.size() != 4 || F[0] != "F") {
+    if (!readTsvLine(Data, Pos, F) || F.size() != 5 || F[0] != "F") {
       Entries.clear();
       return;
     }
     std::string FilePath = F[1];
-    CacheEntry E;
+    Stored E;
     unsigned NumFindings = 0;
-    if (!parseU64(F[2], E.Hash) || !parseUnsignedField(F[3], NumFindings)) {
+    unsigned long long IndexBytes = 0;
+    if (!parseU64(F[2], E.Hash) || !parseUnsignedField(F[3], NumFindings) ||
+        !parseU64(F[4], IndexBytes)) {
       Entries.clear();
       return;
     }
@@ -101,10 +111,16 @@ void LintCache::load(const std::string &Path) {
       G.SourceLine = F[6];
       E.TokenFindings.push_back(std::move(G));
     }
-    if (!deserializeFileIndex(Data, Pos, E.Index) ||
-        E.Index.Path != FilePath) {
-      Entries.clear();
-      return;
+    // Slice the index text out unparsed; lookup() parses it on a hit.
+    if (Pos <= Data.size() && IndexBytes <= Data.size() - Pos &&
+        atEntryBoundary(Data, Pos + IndexBytes)) {
+      E.Index.assign(Data, Pos, IndexBytes);
+      Pos += IndexBytes;
+    } else {
+      // A wrong length: resume at the next F line so that only this
+      // entry is lost. Its empty Index makes its lookup a miss.
+      size_t Next = Data.find("\nF\t", Pos - 1);
+      Pos = Next == std::string::npos ? Data.size() : Next + 1;
     }
     Entries[FilePath] = std::move(E);
   }
@@ -115,13 +131,21 @@ bool LintCache::lookup(const std::string &File, unsigned long long Hash,
   auto It = Entries.find(File);
   if (It == Entries.end() || It->second.Hash != Hash)
     return false;
-  Out = It->second;
+  const Stored &S = It->second;
+  size_t Pos = 0;
+  if (!deserializeFileIndex(S.Index, Pos, Out.Index) ||
+      Pos != S.Index.size() || Out.Index.Path != File)
+    return false;
+  Out.Hash = S.Hash;
+  Out.TokenFindings = S.TokenFindings;
   return true;
 }
 
 void LintCache::put(CacheEntry E) {
-  std::string Key = E.Index.Path;
-  Entries[Key] = std::move(E);
+  Stored &S = Entries[E.Index.Path];
+  S.Hash = E.Hash;
+  S.TokenFindings = std::move(E.TokenFindings);
+  S.Index = serializeFileIndex(E.Index);
 }
 
 bool LintCache::save(const std::string &Path) const {
@@ -129,12 +153,13 @@ bool LintCache::save(const std::string &Path) const {
   appendTsvLine(Out, {CacheHeader, std::to_string(Fingerprint)});
   for (const auto &[FilePath, E] : Entries) {
     appendTsvLine(Out, {"F", FilePath, std::to_string(E.Hash),
-                        std::to_string(E.TokenFindings.size())});
+                        std::to_string(E.TokenFindings.size()),
+                        std::to_string(E.Index.size())});
     for (const Finding &G : E.TokenFindings)
       appendTsvLine(Out, {"g", G.File, std::to_string(G.Line),
                           std::to_string(G.Col), G.Rule, G.Message,
                           G.SourceLine});
-    Out += serializeFileIndex(E.Index);
+    Out += E.Index;
   }
   std::ofstream OS(Path, std::ios::binary | std::ios::trunc);
   if (!OS)

@@ -10,9 +10,15 @@
 /// token findings, and the serialized FileIndex. A warm run re-hashes
 /// each file (cheap) and skips lexing/rule-running/indexing on a hit;
 /// phase 2 always re-links, so interprocedural results stay correct
-/// when *other* files changed. The cache file is rewritten wholesale
-/// after each run, which prunes entries for deleted files; a version
-/// header invalidates everything when the format or rule set moves.
+/// when *other* files changed. load() only slices each index's text out
+/// of the file (its byte length is on the entry's `F` line); lookup()
+/// deserializes it on a hit, inside the phase-1 worker, so a warm run
+/// pays for parsing in parallel and only for the files it serves. A
+/// blob that does not parse, or names another path, is a miss for that
+/// file alone. The cache file is rewritten wholesale only when a file
+/// missed or an entry aged out (which prunes entries for deleted
+/// files); an all-hit run leaves it untouched. A version header
+/// invalidates everything when the format or rule set moves.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,12 +57,14 @@ public:
   void setFingerprint(unsigned long long F) { Fingerprint = F; }
 
   /// Reads \p Path; a missing, unreadable, version- or
-  /// fingerprint-mismatched file just leaves the cache empty (a cold
-  /// run).
+  /// fingerprint-mismatched file, or a malformed `F`/`g` line, just
+  /// leaves the cache empty (a cold run). Index blobs are not parsed
+  /// here; one whose length field is wrong is kept as a miss.
   void load(const std::string &Path);
 
-  /// On a hit (\p File present with matching \p Hash) copies the entry
-  /// into \p Out and returns true.
+  /// On a hit (\p File present with matching \p Hash, and its index
+  /// blob parses whole and names \p File) fills \p Out and returns
+  /// true. On a miss \p Out is unspecified.
   bool lookup(const std::string &File, unsigned long long Hash,
               CacheEntry &Out) const;
 
@@ -69,7 +77,14 @@ public:
   size_t size() const { return Entries.size(); }
 
 private:
-  std::map<std::string, CacheEntry> Entries;
+  /// An entry as held between load() and lookup(): the index stays in
+  /// its serialized form until a hit asks for it.
+  struct Stored {
+    unsigned long long Hash = 0;
+    std::vector<Finding> TokenFindings;
+    std::string Index; ///< serializeFileIndex() text; empty if unusable.
+  };
+  std::map<std::string, Stored> Entries;
   unsigned long long Fingerprint = 0;
 };
 

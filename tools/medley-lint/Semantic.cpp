@@ -766,11 +766,8 @@ AnalyzeResult medley::lint::analyzeSources(const std::vector<SourceFile> &Files,
   if (!Opts.CachePath.empty())
     Cache.load(Opts.CachePath);
 
-  struct PerFile {
-    std::vector<Finding> Findings;
-    FileIndex Index;
-  };
-  std::vector<PerFile> Results(Files.size());
+  std::vector<std::vector<Finding>> TokenFindings(Files.size());
+  std::vector<FileIndex> Indexes(Files.size());
   std::vector<unsigned long long> Hashes(Files.size(), 0);
   std::atomic<size_t> Hits{0};
 
@@ -783,24 +780,20 @@ AnalyzeResult medley::lint::analyzeSources(const std::vector<SourceFile> &Files,
     Hashes[I] = fnv1aHash(SF.Source);
     CacheEntry Hit;
     if (Cache.lookup(SF.Path, Hashes[I], Hit)) {
-      Results[I].Findings = std::move(Hit.TokenFindings);
-      Results[I].Index = std::move(Hit.Index);
+      TokenFindings[I] = std::move(Hit.TokenFindings);
+      Indexes[I] = std::move(Hit.Index);
       Hits.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    Results[I].Findings = lintSource(SF.Path, SF.Source);
-    Results[I].Index = buildFileIndex(SF.Path, SF.Source);
+    TokenFindings[I] = lintSource(SF.Path, SF.Source);
+    Indexes[I] = buildFileIndex(SF.Path, SF.Source);
   });
   R.CacheHits = Hits.load();
 
-  for (PerFile &P : Results)
-    R.Findings.insert(R.Findings.end(), P.Findings.begin(), P.Findings.end());
+  for (const std::vector<Finding> &FF : TokenFindings)
+    R.Findings.insert(R.Findings.end(), FF.begin(), FF.end());
 
   if (Opts.Semantic) {
-    std::vector<FileIndex> Indexes;
-    Indexes.reserve(Results.size());
-    for (const PerFile &P : Results)
-      Indexes.push_back(P.Index);
     R.Graph = linkCallGraph(Indexes);
     std::vector<Finding> Semantic = runSemanticRules(R.Graph);
     R.Findings.insert(R.Findings.end(), Semantic.begin(), Semantic.end());
@@ -812,14 +805,18 @@ AnalyzeResult medley::lint::analyzeSources(const std::vector<SourceFile> &Files,
                      std::tie(B.File, B.Line, B.Col, B.Rule, B.Message);
             });
 
-  if (!Opts.CachePath.empty()) {
+  // When every file hit and no entry aged out, a rewrite would only
+  // reproduce the file just loaded; any miss or pruned entry rewrites.
+  bool CacheUnchanged =
+      R.CacheHits == Files.size() && Cache.size() == Files.size();
+  if (!Opts.CachePath.empty() && !CacheUnchanged) {
     LintCache Fresh; // Full rewrite: entries for vanished files age out.
     Fresh.setFingerprint(cacheFingerprint(Opts.FingerprintSalt));
     for (size_t I = 0; I < Files.size(); ++I) {
       CacheEntry E;
       E.Hash = Hashes[I];
-      E.TokenFindings = std::move(Results[I].Findings);
-      E.Index = std::move(Results[I].Index);
+      E.TokenFindings = std::move(TokenFindings[I]);
+      E.Index = std::move(Indexes[I]);
       Fresh.put(std::move(E));
     }
     Fresh.save(Opts.CachePath);

@@ -94,9 +94,11 @@ bool isDecisionEntry(const CallGraph::Node &N);
 std::vector<Finding> runSemanticRules(const CallGraph &G);
 
 /// The whole pipeline: parallel phase 1 (token rules + indexing, cache
-/// reuse by content hash), deterministic link, phase 2. Rewrites the
-/// cache file afterwards when a cache path is set (a full rewrite, so
-/// entries for deleted files age out).
+/// reuse by content hash), deterministic link, phase 2. When a cache
+/// path is set and some file missed or some cached entry belongs to no
+/// file in \p Files, rewrites the cache file afterwards (a full
+/// rewrite, so entries for deleted files age out); an all-hit run
+/// leaves it as it is. \p Files must have distinct paths.
 AnalyzeResult analyzeSources(const std::vector<SourceFile> &Files,
                              const AnalyzeOptions &Opts);
 
